@@ -1,11 +1,12 @@
 """Smoke benchmark: lockstep mesh-ensemble engine vs the per-topology loops.
 
 Runs the two network-layer ensemble experiments — fig18 (ExOR topology
-ensemble) and fig17 (last-hop placement ensemble) — through both execution
-paths: the lockstep engine of :mod:`repro.routing.ensemble`
-(``batched=True``) and the per-topology / per-placement event loops
-(``batched=False``); asserts the seeded results agree, and writes the
-measured ratios to ``BENCH_exor_ensemble.json``.
+ensemble) and fig17 (last-hop placement ensemble) — two ways: the
+production run on the lockstep engine of :mod:`repro.routing.ensemble`,
+and the conformance kit's sequential oracle
+(``tests/engine/experiment_oracles.py``), which runs the per-topology /
+per-placement transfer loops; asserts the seeded results agree, and
+writes the measured ratios to ``BENCH_exor_ensemble.json``.
 
 Methodology: both paths run the identical seeded workload — the engine
 consumes every lane's generator in sequential order, so outputs are bit
@@ -30,22 +31,11 @@ asserted — its trials are rate-adaptation feedback loops, so its engine
 gains come only from stacked decision state, not from merged draws.
 """
 
-from bench_utils import series_match, timed, write_baseline
+from bench_utils import time_against_oracle, write_baseline
 
 from repro.experiments import registry
 
 _EXPERIMENTS = ["fig18", "fig17"]
-
-
-def _time_both(name: str, preset: str, repeats: int) -> tuple[float, float]:
-    spec = registry.get(name)
-    spec.run(spec.make_config("smoke"))  # warm code paths and caches
-    batched_s, batched = timed(lambda: spec.run(spec.make_config(preset)), repeats=repeats)
-    sequential_s, sequential = timed(
-        lambda: spec.run(spec.make_config(preset, {"batched": False})), repeats=repeats
-    )
-    assert series_match(batched, sequential), f"{name} {preset}: paths diverge"
-    return batched_s, sequential_s
 
 
 def test_exor_ensemble_batched_vs_per_topology(benchmark):
@@ -55,8 +45,8 @@ def test_exor_ensemble_batched_vs_per_topology(benchmark):
         # bursts dominate single measurements — best-of-5 stabilises them;
         # fig18's full preset is now a hundreds-of-topologies sweep, where
         # best-of-3 suffices.
-        quick_batched, quick_sequential = _time_both(name, "quick", repeats=5)
-        full_batched, full_sequential = _time_both(name, "full", repeats=3)
+        quick_batched, quick_sequential = time_against_oracle(name, "quick", repeats=5)
+        full_batched, full_sequential = time_against_oracle(name, "full", repeats=3)
         ratios[name] = {
             "quick": round(quick_sequential / quick_batched, 1),
             "full": round(full_sequential / full_batched, 1),

@@ -1,9 +1,11 @@
-"""Smoke benchmark: batched joint-frame core path vs the per-frame loop.
+"""Smoke benchmark: batched joint-frame core path vs the per-frame oracles.
 
-Runs the four sender-diversity experiments (Figs. 12, 13, 15, 18) through
-both execution paths — the lockstep ensemble engine
-(:mod:`repro.core.ensemble`, ``batched=True``) and the per-frame sequential
-loop (``batched=False``) — asserts the seeded results agree, and writes the
+Runs the four sender-diversity experiments (Figs. 12, 13, 15, 18) two
+ways — the production run, whose Monte-Carlo core advances through the
+lockstep ensemble engine (:mod:`repro.core.ensemble`), and the
+conformance kit's sequential oracle (``tests/engine/experiment_oracles.py``),
+which measures one session or topology at a time through the per-frame
+library simulators — asserts the seeded results agree, and writes the
 measured ratios to ``BENCH_joint_pipeline.json``.
 
 Methodology: both paths run the identical seeded workload (the lockstep
@@ -27,11 +29,7 @@ floors are deliberately below the typical observed ratios to keep the smoke
 test robust on loaded CI machines.
 """
 
-import time
-
-import numpy as np
-
-from bench_utils import series_match, timed, write_baseline
+from bench_utils import time_against_oracle, write_baseline
 
 from repro.experiments import registry
 
@@ -39,31 +37,18 @@ _QUICK_NAMES = ["fig12", "fig13", "fig15", "fig18"]
 _SCALED_NAMES = ["fig12", "fig15"]
 
 
-def _time_both(name: str, preset: str, repeats: int) -> tuple[float, float]:
-    spec = registry.get(name)
-    spec.run(spec.make_config("smoke"))  # warm caches for both paths
-    batched_s, batched = timed(
-        lambda: spec.run(spec.make_config(preset)), repeats=repeats
-    )
-    sequential_s, sequential = timed(
-        lambda: spec.run(spec.make_config(preset, {"batched": False})), repeats=repeats
-    )
-    assert series_match(batched, sequential), f"{name} {preset}: paths diverge"
-    return batched_s, sequential_s
-
-
 def test_joint_pipeline_batched_vs_per_frame(benchmark):
     quick_batched = quick_sequential = 0.0
     per_experiment = {}
     for name in _QUICK_NAMES:
-        batched_s, sequential_s = _time_both(name, "quick", repeats=3)
+        batched_s, sequential_s = time_against_oracle(name, "quick", repeats=3)
         quick_batched += batched_s
         quick_sequential += sequential_s
         per_experiment[name] = round(sequential_s / batched_s, 1)
 
     scaled_batched = scaled_sequential = 0.0
     for name in _SCALED_NAMES:
-        batched_s, sequential_s = _time_both(name, "full", repeats=1)
+        batched_s, sequential_s = time_against_oracle(name, "full", repeats=1)
         scaled_batched += batched_s
         scaled_sequential += sequential_s
 

@@ -7,16 +7,18 @@ ends and writes ``BENCH_lane_scheduler.json``:
 
 * **engine speedups must hold** — fig18 (ExOR mesh ensemble) and
   fig19_traffic_load (flows-as-lanes) quick presets re-measure their
-  batched-vs-sequential ratios on the migrated engine.  The recorded
+  lockstep-over-oracle ratios on the migrated engine (the sequential side
+  is the conformance kit's oracle, ``tests/engine/experiment_oracles.py``).  The recorded
   pre-migration ratios (``BENCH_exor_ensemble.json``: 2.7x quick;
   ``BENCH_traffic_load.json``: 1.5x bucket) would absorb a >5% scheduler
   overhead long before the asserted floors here (1.5x / 1.1x — the same
   loose quick-preset floor ``bench_exor_ensemble`` uses, so scheduler
   noise on loaded machines cannot fail the smoke test; typical observed
   ratios are ~2.2-2.5x and ~1.6x);
-* **newly batched experiments** — fig16 and ablation_slope gained
-  ``batched=True`` lanes in this PR; their ratios are recorded (not
-  asserted: both quick workloads are small, so ~1x is acceptable);
+* **experiment-owned lanes** — fig16 (regime search) and ablation_slope
+  (chained trials) run their own lanes on the scheduler; their ratios
+  over the sequential oracles are recorded (not asserted: both quick
+  workloads are small, so ~1x is acceptable);
 * **raw dispatch cost** — a microbench of trivial scripted lanes through
   :class:`~repro.engine.LockstepScheduler` against the same bodies run
   inline, recording the per-lane-wave overhead in microseconds (bucketed
@@ -25,21 +27,10 @@ ends and writes ``BENCH_lane_scheduler.json``:
 
 import numpy as np
 
-from bench_utils import series_match, timed, write_baseline
+from bench_utils import time_against_oracle, timed, write_baseline
 
 from repro.engine import Lane, LockstepScheduler
 from repro.experiments import registry
-
-
-def _time_both(name: str, preset: str, repeats: int) -> tuple[float, float]:
-    spec = registry.get(name)
-    spec.run(spec.make_config("smoke"))  # warm code paths and caches
-    batched_s, batched = timed(lambda: spec.run(spec.make_config(preset)), repeats=repeats)
-    sequential_s, sequential = timed(
-        lambda: spec.run(spec.make_config(preset, {"batched": False})), repeats=repeats
-    )
-    assert series_match(batched, sequential), f"{name} {preset}: paths diverge"
-    return batched_s, sequential_s
 
 
 class _NullLane(Lane):
@@ -88,10 +79,10 @@ def _dispatch_overhead_us(n_lanes: int = 200, rounds: int = 5) -> float:
 
 
 def test_lane_scheduler_overhead(benchmark):
-    fig18_batched, fig18_sequential = _time_both("fig18", "quick", repeats=5)
-    fig19_batched, fig19_sequential = _time_both("fig19_traffic_load", "quick", repeats=3)
-    fig16_batched, fig16_sequential = _time_both("fig16", "quick", repeats=3)
-    slope_batched, slope_sequential = _time_both("ablation_slope", "quick", repeats=3)
+    fig18_batched, fig18_sequential = time_against_oracle("fig18", "quick", repeats=5)
+    fig19_batched, fig19_sequential = time_against_oracle("fig19_traffic_load", "quick", repeats=3)
+    fig16_batched, fig16_sequential = time_against_oracle("fig16", "quick", repeats=3)
+    slope_batched, slope_sequential = time_against_oracle("ablation_slope", "quick", repeats=3)
     overhead_us = _dispatch_overhead_us()
 
     fig18_ratio = fig18_sequential / fig18_batched

@@ -59,9 +59,9 @@ def timed(fn, repeats: int = 1):
 def series_match(a, b) -> bool:
     """True when two ExperimentResults carry numerically identical series.
 
-    Shared by the batched-vs-sequential smoke benchmarks: every converted
-    experiment must produce the same series through both execution paths
-    before its timing ratio is reported.
+    Shared by the lockstep-vs-oracle smoke benchmarks: an experiment and
+    its sequential oracle must produce the same series before their timing
+    ratio is reported.
     """
     if a.series.keys() != b.series.keys():
         return False
@@ -73,3 +73,24 @@ def series_match(a, b) -> bool:
         elif not np.allclose(first, second, rtol=1e-9, equal_nan=True):
             return False
     return True
+
+
+def time_against_oracle(name: str, preset: str, repeats: int) -> tuple[float, float]:
+    """Best-of-``repeats`` seconds of experiment ``name`` and of its oracle.
+
+    The first number times the experiment's production (lockstep) run,
+    the second its sequential oracle from the conformance kit
+    (``tests/engine/experiment_oracles.py``), both on ``preset``'s seeded
+    workload; their series must match before the timings are returned.
+    """
+    from repro.experiments import registry
+    from tests.engine.experiment_oracles import ORACLES
+
+    spec = registry.get(name)
+    spec.run(spec.make_config("smoke"))  # warm code paths and caches
+    lockstep_s, lockstep = timed(lambda: spec.run(spec.make_config(preset)), repeats=repeats)
+    sequential_s, sequential = timed(
+        lambda: ORACLES[name](spec.make_config(preset)), repeats=repeats
+    )
+    assert series_match(lockstep, sequential), f"{name} {preset}: paths diverge"
+    return lockstep_s, sequential_s

@@ -29,16 +29,15 @@ from repro.phy.equalizer import estimate_channel_ltf
 from repro.phy.params import OFDMParams, DEFAULT_PARAMS
 from repro.phy.preamble import long_training_field
 
-__all__ = ["Config", "SPEC", "run", "estimation_errors"]
+__all__ = ["Config", "SPEC", "estimation_errors"]
 
 
 @dataclass(frozen=True)
 class Config:
     """Parameters of the §4.2 slope-estimator ablation.
 
-    ``batched`` runs the trials as chained engine lanes on the single
-    experiment generator and batches every estimate's FFT into one stacked
-    transform (bit-identical to the sequential per-trial loop).
+    The trials run as chained engine lanes on the single experiment
+    generator, and every estimate's FFT runs in one stacked transform.
     """
 
     delays_samples: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0)
@@ -46,7 +45,6 @@ class Config:
     n_trials: int = 15
     seed: int = 42
     params: OFDMParams = DEFAULT_PARAMS
-    batched: bool = True
 
     def __post_init__(self) -> None:
         if not self.delays_samples:
@@ -67,7 +65,7 @@ def _estimate_windows(
     """One estimate's noisy time-domain LTF windows (the estimate's only draws).
 
     Returns the two ``n_fft``-sample repetition windows *before* the FFT so
-    the batched path can stack them into one transform; the noise draw is
+    the whole ensemble can stack them into one transform; the noise draw is
     the single generator touch of the estimate.
     """
     shaped = channel.apply(ltf_scaled)
@@ -81,7 +79,7 @@ def _estimate_windows(
 
 
 class _SlopeTrialLane(Lane):
-    """One trial's draws for the batched slope ablation.
+    """One trial's draws for the slope ablation.
 
     All trials share the experiment's single generator, so the lanes are
     chained in input order (``after=`` the previous trial) — the only form
@@ -135,7 +133,6 @@ def estimation_errors(
     profile: MultipathProfile | None = None,
     seed: int = 42,
     params: OFDMParams = DEFAULT_PARAMS,
-    batched: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Absolute estimation errors (samples) of the windowed and full-band estimators.
 
@@ -146,22 +143,37 @@ def estimation_errors(
     difference between two delayed copies of the *same* channel — exactly
     the relative quantity SourceSync relies on.
 
-    ``batched`` routes the trials through the shared engine as chained
-    lanes and computes every estimate's FFT in one stacked transform; the
-    draw order and results are bit-identical to the sequential loop.
+    The trials run through the shared engine as chained lanes on one
+    generator, and every estimate's FFT runs in one stacked transform.
     """
     rng = np.random.default_rng(seed)
     profile = profile if profile is not None else MultipathProfile(n_taps=6, rms_delay_spread_samples=2.0)
-    ltf = long_training_field(params)
-    amplitude = np.sqrt(10.0 ** (snr_db / 10.0))
-    windowed_errors: list[float] = []
-    fullband_errors: list[float] = []
+    ltf_scaled = long_training_field(params) * np.sqrt(10.0 ** (snr_db / 10.0))
+    lanes: list[_SlopeTrialLane] = []
+    previous: _SlopeTrialLane | None = None
+    for _ in range(n_trials):
+        lane = _SlopeTrialLane(rng, delays_samples, profile, ltf_scaled, params, after=previous)
+        lanes.append(lane)
+        previous = lane
+    all_windows = LockstepScheduler().run(lanes)
+    if not all_windows:
+        return _errors_from_estimates([], delays_samples, params)
+    # One stacked FFT over every window of every estimate of every trial;
+    # rows are bit-identical to per-estimate 1-D transforms.
+    stacked = np.concatenate(all_windows, axis=0)
+    spectra = np.fft.fft(stacked, axis=-1) / np.sqrt(params.n_fft)
+    estimates = [estimate_channel_ltf(spectra[k], params) for k in range(len(spectra))]
+    return _errors_from_estimates(estimates, delays_samples, params)
 
-    def channel_estimate(delay: int, channel: MultipathChannel) -> np.ndarray:
-        reps = _estimate_windows(delay, channel, ltf * amplitude, rng, params)
-        return estimate_channel_ltf(
-            np.fft.fft(reps, axis=-1) / np.sqrt(params.n_fft), params
-        )
+
+def _errors_from_estimates(
+    estimates: list[np.ndarray], delays_samples: tuple[float, ...], params: OFDMParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Windowed and full-band errors from trial-major channel estimates.
+
+    Each trial contributes ``1 + len(delays_samples)`` consecutive
+    estimates: the undelayed reference, then one per injected delay.
+    """
 
     def windowed_offset(channel_est: np.ndarray) -> float:
         slope, _ = phase_slope_windowed(channel_est, params)
@@ -170,9 +182,12 @@ def estimation_errors(
     def fullband_offset(channel_est: np.ndarray) -> float:
         return slope_to_delay_samples(phase_slope_full_band(channel_est, params), params)
 
-    def record_errors(reference: np.ndarray, shifted_list: list[np.ndarray]) -> None:
-        """Append one trial's per-delay errors from its channel estimates."""
-        for delay, shifted in zip(delays_samples, shifted_list):
+    windowed_errors: list[float] = []
+    fullband_errors: list[float] = []
+    n_estimates = 1 + len(delays_samples)
+    for base in range(0, len(estimates), n_estimates):
+        reference = estimates[base]
+        for delay, shifted in zip(delays_samples, estimates[base + 1 : base + n_estimates]):
             # Delaying the signal by `delay` makes the (fixed) FFT window
             # effectively `delay` samples early, so the implied offset of the
             # shifted estimate minus the reference estimate should be -delay.
@@ -180,33 +195,6 @@ def estimation_errors(
             measured_fullband = fullband_offset(shifted) - fullband_offset(reference)
             windowed_errors.append(abs(measured_windowed + float(delay)))
             fullband_errors.append(abs(measured_fullband + float(delay)))
-
-    if batched:
-        lanes: list[_SlopeTrialLane] = []
-        previous: _SlopeTrialLane | None = None
-        for _ in range(n_trials):
-            lane = _SlopeTrialLane(
-                rng, delays_samples, profile, ltf * amplitude, params, after=previous
-            )
-            lanes.append(lane)
-            previous = lane
-        all_windows = LockstepScheduler().run(lanes)
-        if all_windows:
-            # One stacked FFT over every window of every estimate of every
-            # trial; rows are bit-identical to the sequential 1-D transforms.
-            stacked = np.concatenate(all_windows, axis=0)
-            spectra = np.fft.fft(stacked, axis=-1) / np.sqrt(params.n_fft)
-            estimates = [estimate_channel_ltf(spectra[k], params) for k in range(len(spectra))]
-            n_estimates = 1 + len(delays_samples)
-            for trial in range(n_trials):
-                base = trial * n_estimates
-                record_errors(estimates[base], estimates[base + 1 : base + n_estimates])
-    else:
-        for _ in range(n_trials):
-            channel = MultipathChannel.random(profile, rng).normalized()
-            reference = channel_estimate(0, channel)
-            shifted_list = [channel_estimate(int(delay), channel) for delay in delays_samples]
-            record_errors(reference, shifted_list)
     return np.asarray(windowed_errors), np.asarray(fullband_errors)
 
 
@@ -220,7 +208,6 @@ def estimation_errors(
         "full": {"n_trials": 40},
     },
     tags=("ablation", "sync"),
-    batched=True,
     summary_keys={
         "windowed_median_error_ns": "median detection-delay estimation error (ns) of the 3 MHz windowed slope fit",
         "full_band_median_error_ns": "median estimation error (ns) of the whole-band slope fit",
@@ -228,11 +215,16 @@ def estimation_errors(
 )
 def _run(config: Config) -> ExperimentResult:
     """Compare windowed and whole-band slope estimators on multipath channels."""
-    params = config.params
     windowed, fullband = estimation_errors(
         config.delays_samples, config.snr_db, config.n_trials,
-        seed=config.seed, params=params, batched=config.batched,
+        seed=config.seed, params=config.params,
     )
+    return _result(config, windowed, fullband)
+
+
+def _result(config: Config, windowed: np.ndarray, fullband: np.ndarray) -> ExperimentResult:
+    """Fold both estimators' per-estimate errors (samples) into the ablation rows."""
+    params = config.params
     return ExperimentResult(
         name="ablation_slope",
         description="Detection-delay estimation error: 3 MHz windowed slope vs whole-band fit",
@@ -257,7 +249,3 @@ def _run(config: Config) -> ExperimentResult:
 
 SPEC = _run.spec
 
-
-def run(**kwargs) -> ExperimentResult:
-    """Legacy entry point: ``run(**kwargs)`` is ``SPEC.run(Config(**kwargs))``."""
-    return SPEC.run(Config(**kwargs))

@@ -15,11 +15,11 @@ array operations:
   one generator call (used by ``fig14_delay_spread``);
 * :func:`draw_frequency_response_ensemble` — batched normalised frequency
   responses on the occupied bins (used by ``ablation_combining``);
-* :func:`run_trials` / :func:`run_seed_chunks` — re-exported from the
-  shared engine (:mod:`repro.engine.scheduler`), which owns all chunked
-  sharding and process-pool scheduling; they remain importable here
-  because the ensemble runner is where experiments historically found
-  their trial entry points.
+* :func:`run_seed_chunks` — re-exported from the shared engine
+  (:mod:`repro.engine.scheduler`), which owns all chunked sharding and
+  process-pool scheduling; it remains importable here because the
+  ensemble runner is where experiments historically found their trial
+  entry points.
 
 Determinism: the batched draws reproduce the exact generator-stream order
 of the per-trial loops they replace wherever possible (see
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.channel.awgn import awgn_ensemble, db_to_linear
-from repro.engine.scheduler import run_seed_chunks, run_trials
+from repro.engine.scheduler import run_seed_chunks
 from repro.channel.composite import link_ensemble_for_snr, propagate_ensemble
 from repro.channel.multipath import (
     MultipathEnsemble,
@@ -57,7 +57,6 @@ __all__ = [
     "run_packet_ensemble",
     "draw_tap_ensemble",
     "draw_frequency_response_ensemble",
-    "run_trials",
     "run_seed_chunks",
 ]
 
@@ -239,6 +238,3 @@ def draw_frequency_response_ensemble(
         n_realizations, n_channels_per_realization, bins.size
     )
 
-
-# run_trials / run_seed_chunks are re-exported above from
-# repro.engine.scheduler, the single home of sharding and pool scheduling.

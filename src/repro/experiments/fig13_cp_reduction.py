@@ -29,19 +29,18 @@ from repro.phy import bits as bitutils
 from repro.phy.params import OFDMParams, DEFAULT_PARAMS
 from repro.phy.transmitter import encode_payload_to_symbols
 
-__all__ = ["Config", "SPEC", "run", "measure_snr_vs_cp"]
+__all__ = ["Config", "SPEC"]
 
 
 @dataclass(frozen=True)
 class Config:
     """Parameters of the Fig. 13 reproduction.
 
-    ``batched`` decodes the whole cyclic-prefix sweep as one joint-frame
-    ensemble (single block-parallel Viterbi pass).  Frames are measured
-    with the tracking loop *converged and frozen* — feedback is applied
-    during the warm-up exchanges, not per measured frame — so the frames
-    are independent and the batched and sequential paths produce identical
-    seeded results.  ``n_topologies`` measures each chain over that many
+    The whole cyclic-prefix sweep decodes as one joint-frame ensemble
+    (single block-parallel Viterbi pass).  Frames are measured with the
+    tracking loop *converged and frozen* — feedback is applied during the
+    warm-up exchanges, not per measured frame — so the frames are
+    independent.  ``n_topologies`` measures each chain over that many
     independent joint topologies and averages the per-CP SNR across them;
     every topology of both chains joins the same lockstep ensemble, so
     widening the sweep costs one wider Viterbi pass, not more Python loops.
@@ -52,7 +51,6 @@ class Config:
     n_frames: int = 2
     n_topologies: int = 1
     seed: int = 5
-    batched: bool = True
     params: OFDMParams = DEFAULT_PARAMS
     snr_fraction: float = 0.95
 
@@ -98,69 +96,6 @@ def _chain_seeds(seed: int, n_topologies: int) -> list:
     return list(np.random.SeedSequence(seed).spawn(n_topologies))
 
 
-def measure_snr_vs_cp(
-    cp_values_samples: tuple[int, ...],
-    compensate: bool,
-    snr_db: float = 20.0,
-    payload_bytes: int = 60,
-    n_frames: int = 2,
-    seed: int = 5,
-    params: OFDMParams = DEFAULT_PARAMS,
-    batched: bool = True,
-    n_topologies: int = 1,
-) -> list[float]:
-    """Average effective SNR at each CP value, with or without compensation.
-
-    The tracking loop converges during warm-up exchanges and is then frozen
-    for the measured frames (the channels are static, so per-frame feedback
-    would only inject estimator noise into the sweep); the frames are
-    therefore independent and, with ``batched``, decode as one ensemble
-    through :func:`repro.core.ensemble.run_joint_frames_batch` with
-    identical seeded results.  ``n_topologies`` widens the chain: the sweep
-    is measured over that many independent joint topologies (sessions) and
-    averaged per CP value, which is also what lets the lockstep engine
-    amortise — every topology's frames decode in one ensemble.
-    """
-    folds = _measure_folds(
-        cp_values_samples, compensate, snr_db, payload_bytes, n_frames, seed,
-        params, batched, n_topologies,
-    )
-    return _mean_over_topologies(folds)
-
-
-def _measure_folds(
-    cp_values_samples: tuple[int, ...],
-    compensate: bool,
-    snr_db: float,
-    payload_bytes: int,
-    n_frames: int,
-    seed: int,
-    params: OFDMParams,
-    batched: bool,
-    n_topologies: int,
-) -> list[list[float]]:
-    """Per-topology SNR-vs-CP folds for one measurement chain."""
-    chains = [
-        _prepare_chain(compensate, snr_db, payload_bytes, chain_seed, params)
-        for chain_seed in _chain_seeds(seed, n_topologies)
-    ]
-    if batched:
-        jobs = [
-            _sweep_jobs(payload, cp_values_samples, n_frames, compensate)
-            for _, payload in chains
-        ]
-        outcome_lists = run_joint_frames_batch([session for session, _ in chains], jobs)
-    else:
-        outcome_lists = [
-            _run_sweep_sequential(session, payload, cp_values_samples, n_frames, compensate)
-            for session, payload in chains
-        ]
-    return [
-        _fold_sweep(outcomes, payload, cp_values_samples, n_frames)
-        for outcomes, (_, payload) in zip(outcome_lists, chains)
-    ]
-
-
 def _mean_over_topologies(folds: list[list[float]]) -> list[float]:
     """Per-CP mean over topology folds, ignoring NaN entries.
 
@@ -189,6 +124,19 @@ def _prepare_chain(
     return session, bitutils.random_payload(payload_bytes, rng)
 
 
+def _prepare_chains(config: Config) -> list[tuple[bool, SourceSyncSession, bytes]]:
+    """``(compensate, session, payload)`` per topology: SourceSync chain first.
+
+    Both chains (compensated and baseline) span ``n_topologies`` sessions
+    each; the compensated chain's topologies come first.
+    """
+    return [
+        (compensate, *_prepare_chain(compensate, config.snr_db, 60, chain_seed, config.params))
+        for compensate in (True, False)
+        for chain_seed in _chain_seeds(config.seed, config.n_topologies)
+    ]
+
+
 def _sweep_jobs(
     payload: bytes, cp_values_samples: tuple[int, ...], n_frames: int, compensate: bool
 ) -> list[JointFrameJob]:
@@ -198,27 +146,6 @@ def _sweep_jobs(
             rate_mbps=6.0,
             data_cp_samples=cp,
             compensate=compensate,
-            genie_timing=True,
-        )
-        for cp in cp_values_samples
-        for _ in range(n_frames)
-    ]
-
-
-def _run_sweep_sequential(
-    session: SourceSyncSession,
-    payload: bytes,
-    cp_values_samples: tuple[int, ...],
-    n_frames: int,
-    compensate: bool,
-) -> list:
-    return [
-        session.run_joint_frame(
-            payload,
-            rate_mbps=6.0,
-            data_cp_samples=cp,
-            compensate=compensate,
-            apply_tracking_feedback=False,
             genie_timing=True,
         )
         for cp in cp_values_samples
@@ -264,7 +191,6 @@ def _fold_sweep(
         "full": {"n_frames": 4, "n_topologies": 4},
     },
     tags=("sync", "phy"),
-    batched=True,
     summary_keys={
         "sourcesync_cp_for_95pct_peak_ns": "smallest CP (ns) at which SourceSync reaches 95% of its peak SNR, averaged over topologies (paper: 117 ns)",
         "baseline_cp_for_95pct_peak_ns": "smallest CP (ns) at which the unsynchronized baseline reaches 95% of peak, averaged over topologies (paper: 469 ns)",
@@ -274,53 +200,34 @@ def _fold_sweep(
 def _run(config: Config) -> ExperimentResult:
     """Regenerate Fig. 13: SNR vs CP for SourceSync and the unsynchronized baseline.
 
-    In batched mode both chains' sweeps form *one* joint-frame ensemble, so
-    the whole figure decodes with a single block-parallel Viterbi pass; the
-    chains use independent generators, so the numbers match the per-chain
-    sequential sweeps exactly.
+    Both chains (compensated and baseline), each over ``n_topologies``
+    sessions, decode as *one* joint-frame ensemble: ``2 * n_topologies``
+    lockstep lanes and a single block-parallel Viterbi pass.
     """
+    chains = _prepare_chains(config)
+    outcome_lists = run_joint_frames_batch(
+        [session for _, session, _ in chains],
+        [
+            _sweep_jobs(payload, config.cp_values_samples, config.n_frames, compensate)
+            for compensate, _, payload in chains
+        ],
+    )
+    return _result(config, chains, outcome_lists)
+
+
+def _result(
+    config: Config,
+    chains: list[tuple[bool, SourceSyncSession, bytes]],
+    outcome_lists: list[list],
+) -> ExperimentResult:
+    """Fold every topology's sweep outcomes into the Fig. 13 curves."""
     cp_values_samples, params, snr_fraction = config.cp_values_samples, config.params, config.snr_fraction
-    if config.batched:
-        # Both chains (compensated and baseline), each over n_topologies
-        # sessions, decode as ONE joint-frame ensemble: 2 * n_topologies
-        # lockstep lanes and a single block-parallel Viterbi pass.
-        chains = [
-            (
-                compensate,
-                [
-                    _prepare_chain(compensate, config.snr_db, 60, chain_seed, params)
-                    for chain_seed in _chain_seeds(config.seed, config.n_topologies)
-                ],
-            )
-            for compensate in (True, False)
-        ]
-        sessions = [session for _, prepared in chains for session, _ in prepared]
-        jobs = [
-            _sweep_jobs(payload, cp_values_samples, config.n_frames, compensate)
-            for compensate, prepared in chains
-            for _, payload in prepared
-        ]
-        outcome_lists = run_joint_frames_batch(sessions, jobs)
-        per_chain_folds = []
-        position = 0
-        for _, prepared in chains:
-            folds = []
-            for _, payload in prepared:
-                folds.append(
-                    _fold_sweep(outcome_lists[position], payload, cp_values_samples, config.n_frames)
-                )
-                position += 1
-            per_chain_folds.append(folds)
-        sourcesync_folds, baseline_folds = per_chain_folds
-    else:
-        sourcesync_folds = _measure_folds(
-            cp_values_samples, True, config.snr_db, 60, config.n_frames,
-            config.seed, params, False, config.n_topologies,
-        )
-        baseline_folds = _measure_folds(
-            cp_values_samples, False, config.snr_db, 60, config.n_frames,
-            config.seed, params, False, config.n_topologies,
-        )
+    folds = [
+        _fold_sweep(outcomes, payload, cp_values_samples, config.n_frames)
+        for outcomes, (_, _, payload) in zip(outcome_lists, chains)
+    ]
+    sourcesync_folds = [fold for fold, (compensate, _, _) in zip(folds, chains) if compensate]
+    baseline_folds = [fold for fold, (compensate, _, _) in zip(folds, chains) if not compensate]
     sourcesync = _mean_over_topologies(sourcesync_folds)
     baseline = _mean_over_topologies(baseline_folds)
     cp_ns = [cp * params.sample_period_ns for cp in cp_values_samples]
@@ -374,7 +281,3 @@ def _run(config: Config) -> ExperimentResult:
 
 SPEC = _run.spec
 
-
-def run(**kwargs) -> ExperimentResult:
-    """Legacy entry point: ``run(**kwargs)`` is ``SPEC.run(Config(**kwargs))``."""
-    return SPEC.run(Config(**kwargs))

@@ -26,7 +26,7 @@ from repro.experiments.batch import draw_tap_ensemble
 from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import experiment
 
-__all__ = ["Config", "SPEC", "run", "average_tap_powers", "count_significant_taps"]
+__all__ = ["Config", "SPEC", "average_tap_powers", "count_significant_taps"]
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,6 @@ def count_significant_taps(tap_powers: np.ndarray, threshold_fraction: float = 0
         "full": {"n_realizations": 1000},
     },
     tags=("channel", "phy"),
-    batched=True,
     summary_keys={
         "significant_taps": "number of channel taps above the significance threshold (paper: ~15)",
         "delay_spread_ns": "delay spread in ns implied by the significant-tap count (paper: ~117 ns)",
@@ -113,7 +112,3 @@ def _run(config: Config) -> ExperimentResult:
 
 SPEC = _run.spec
 
-
-def run(**kwargs) -> ExperimentResult:
-    """Legacy entry point: ``run(**kwargs)`` is ``SPEC.run(Config(**kwargs))``."""
-    return SPEC.run(Config(**kwargs))

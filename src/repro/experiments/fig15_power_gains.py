@@ -31,22 +31,19 @@ from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import experiment
 from repro.phy.params import OFDMParams, DEFAULT_PARAMS
 
-__all__ = ["Config", "SPEC", "run", "measure_regime", "REGIME_TARGET_SNR_DB"]
+__all__ = ["Config", "SPEC", "REGIME_TARGET_SNR_DB"]
 
 
 @dataclass(frozen=True)
 class Config:
     """Parameters of the Fig. 15 reproduction.
 
-    ``batched`` advances every placement of every regime in lockstep
-    through the batched joint-frame core path; per-placement spawned
-    generators make the batched and sequential paths produce identical
-    seeded results.
+    Every placement of every regime draws from its own spawned generator
+    and advances in lockstep through the batched joint-frame core path.
     """
 
     n_placements: int = 4
     seed: int = 15
-    batched: bool = True
     params: OFDMParams = DEFAULT_PARAMS
 
     def __post_init__(self) -> None:
@@ -103,41 +100,21 @@ def _regime_values(
     return single, joint, profiles
 
 
-def measure_regime(
-    target_snr_db: float,
-    n_placements: int = 4,
-    seed: int = 15,
-    params: OFDMParams = DEFAULT_PARAMS,
-    batched: bool = True,
-    rngs: list[np.random.Generator] | None = None,
-) -> tuple[list[float], list[float], list[np.ndarray]]:
-    """Single-sender and joint average SNRs for placements in one regime.
+def _placement_cells(config: Config) -> list[tuple[str, SourceSyncSession]]:
+    """``(regime, session)`` per placement, regime-major.
 
-    Returns ``(single_sender_snrs, joint_snrs, per_subcarrier_joint_profiles)``;
-    the single-sender list contains both senders of every placement.  Each
-    placement draws from its own spawned generator (``rngs`` overrides
-    them), so the lockstep ``batched`` path and the sequential path produce
-    the same seeded results.
+    Each placement's session draws from its own generator, spawned per
+    regime from ``(seed, 10 * target SNR)``.
     """
-    if rngs is None:
-        root = np.random.SeedSequence((seed, int(target_snr_db * 10)))
-        rngs = [np.random.default_rng(child) for child in root.spawn(n_placements)]
-    channels_list = []
-    if batched:
-        sessions = [_placement_session(target_snr_db, rng, params) for rng in rngs]
-        measure_delays_batch(sessions)
-        converge_tracking_batch(sessions, rounds=3)
-        outcomes = run_header_exchanges_batch(sessions, repeats=1, apply_tracking_feedback=False)
-        channels_list = [outcome[0].channels for outcome in outcomes]
-    else:
-        for rng in rngs:
-            session = _placement_session(target_snr_db, rng, params)
-            session.measure_delays()
-            session.converge_tracking(rounds=3)
-            channels_list.append(
-                session.run_header_exchange(apply_tracking_feedback=False).channels
-            )
-    return _regime_values(channels_list, params)
+    cells = []
+    for regime in SNR_REGIMES:
+        target = REGIME_TARGET_SNR_DB[regime]
+        children = np.random.SeedSequence((config.seed, int(target * 10))).spawn(config.n_placements)
+        cells.extend(
+            (regime, _placement_session(target, np.random.default_rng(child), config.params))
+            for child in children
+        )
+    return cells
 
 
 @experiment(
@@ -150,7 +127,6 @@ def measure_regime(
         "full": {"n_placements": 10},
     },
     tags=("phy", "diversity"),
-    batched=True,
     summary_keys={
         "min_gain_db": "smallest joint-over-single average SNR gain (dB) across the regimes (paper: 2-3 dB)",
         "max_gain_db": "largest joint-over-single average SNR gain (dB) across the regimes",
@@ -159,48 +135,32 @@ def measure_regime(
 def _run(config: Config) -> ExperimentResult:
     """Regenerate Fig. 15: average SNR, single sender vs SourceSync, per regime.
 
-    In batched mode every placement of *every* regime advances in one
-    lockstep group (the per-regime spawned generators are identical either
-    way, so both paths report the same seeded numbers).
+    Every placement of *every* regime advances in one lockstep group.
     """
+    cells = _placement_cells(config)
+    sessions = [session for _, session in cells]
+    measure_delays_batch(sessions)
+    converge_tracking_batch(sessions, rounds=3)
+    outcomes = run_header_exchanges_batch(sessions, repeats=1, apply_tracking_feedback=False)
+    return _result(config, cells, [outcome[0].channels for outcome in outcomes])
+
+
+def _result(
+    config: Config, cells: list[tuple[str, SourceSyncSession]], channels_list: list
+) -> ExperimentResult:
+    """Fold every placement's header channel estimates into the Fig. 15 rows."""
     regimes = list(SNR_REGIMES.keys())
-    regime_rngs = {
-        regime: [
-            np.random.default_rng(child)
-            for child in np.random.SeedSequence(
-                (config.seed, int(REGIME_TARGET_SNR_DB[regime] * 10))
-            ).spawn(config.n_placements)
-        ]
+    per_regime = {
+        regime: _regime_values(
+            [
+                channels
+                for (cell_regime, _), channels in zip(cells, channels_list)
+                if cell_regime == regime
+            ],
+            config.params,
+        )
         for regime in regimes
     }
-    per_regime: dict[str, tuple[list[float], list[float], list[np.ndarray]]] = {}
-    if config.batched:
-        cells = [
-            (regime, _placement_session(REGIME_TARGET_SNR_DB[regime], rng, config.params))
-            for regime in regimes
-            for rng in regime_rngs[regime]
-        ]
-        sessions = [session for _, session in cells]
-        measure_delays_batch(sessions)
-        converge_tracking_batch(sessions, rounds=3)
-        outcomes = run_header_exchanges_batch(sessions, repeats=1, apply_tracking_feedback=False)
-        for regime in regimes:
-            channels_list = [
-                outcome[0].channels
-                for (cell_regime, _), outcome in zip(cells, outcomes)
-                if cell_regime == regime
-            ]
-            per_regime[regime] = _regime_values(channels_list, config.params)
-    else:
-        for regime in regimes:
-            per_regime[regime] = measure_regime(
-                REGIME_TARGET_SNR_DB[regime],
-                config.n_placements,
-                config.seed,
-                config.params,
-                batched=False,
-                rngs=regime_rngs[regime],
-            )
     single_means: list[float] = []
     joint_means: list[float] = []
     gains: list[float] = []
@@ -233,7 +193,3 @@ def _run(config: Config) -> ExperimentResult:
 
 SPEC = _run.spec
 
-
-def run(**kwargs) -> ExperimentResult:
-    """Legacy entry point: ``run(**kwargs)`` is ``SPEC.run(Config(**kwargs))``."""
-    return SPEC.run(Config(**kwargs))

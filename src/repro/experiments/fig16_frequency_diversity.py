@@ -26,7 +26,7 @@ from repro.experiments.fig15_power_gains import REGIME_TARGET_SNR_DB
 from repro.experiments.registry import experiment
 from repro.phy.params import OFDMParams, DEFAULT_PARAMS
 
-__all__ = ["Config", "SPEC", "run", "measure_profiles", "measure_profiles_batched"]
+__all__ = ["Config", "SPEC", "measure_profiles"]
 
 
 @dataclass(frozen=True)
@@ -35,15 +35,13 @@ class Config:
 
     The figure needs exactly one placement per SNR regime, so the workload
     is the same at every preset; ``max_attempts`` bounds the topology
-    re-draws when a placement fails to produce a co-sender estimate.
-    ``batched`` runs the regimes' placement attempts in lockstep through
-    the shared engine (bit-identical to the per-regime sequential path).
+    re-draws when a placement fails to produce a co-sender estimate.  The
+    regimes' placement attempts run in lockstep through the shared engine.
     """
 
     seed: int = 16
     max_attempts: int = 5
     params: OFDMParams = DEFAULT_PARAMS
-    batched: bool = True
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -51,7 +49,7 @@ class Config:
 
 
 def _regime_rng(target_snr_db: float, seed: int) -> np.random.Generator:
-    """The regime's dedicated generator (both execution paths share it)."""
+    """The regime's dedicated generator."""
     return np.random.default_rng(seed + int(target_snr_db * 7))
 
 
@@ -74,34 +72,6 @@ def _profiles_from_channels(channels, params: OFDMParams) -> dict[str, np.ndarra
         "sender2_snr_db": np.asarray(linear_to_db(sender2)),
         "sourcesync_snr_db": np.asarray(linear_to_db(joint)),
     }
-
-
-def measure_profiles(
-    target_snr_db: float,
-    seed: int = 16,
-    params: OFDMParams = DEFAULT_PARAMS,
-    max_attempts: int = 5,
-) -> dict[str, np.ndarray] | None:
-    """Per-subcarrier SNR of sender 1, sender 2 and the joint transmission."""
-    rng = _regime_rng(target_snr_db, seed)
-    for _ in range(max_attempts):
-        topo = JointTopology.from_snrs(
-            rng,
-            lead_rx_snr_db=target_snr_db,
-            cosender_rx_snr_db=[target_snr_db],
-            lead_cosender_snr_db=[20.0],
-            params=params,
-        )
-        session = SourceSyncSession(topo, SourceSyncConfig(params=params), rng=rng)
-        session.measure_delays()
-        session.converge_tracking(rounds=3)
-        channels = session.run_header_exchange(apply_tracking_feedback=False).channels
-        if channels is None:
-            continue
-        profiles = _profiles_from_channels(channels, params)
-        if profiles is not None:
-            return profiles
-    return None
 
 
 class _RegimeLane(Lane):
@@ -171,13 +141,17 @@ class _RegimeLane(Lane):
         return self.profiles
 
 
-def measure_profiles_batched(
+def measure_profiles(
     targets: list[float],
     seed: int = 16,
     params: OFDMParams = DEFAULT_PARAMS,
     max_attempts: int = 5,
 ) -> list[dict[str, np.ndarray] | None]:
-    """Profiles for every target regime at once, one result per target."""
+    """Per-subcarrier SNR of sender 1, sender 2 and the joint transmission.
+
+    One profile dict per target regime (``None`` when every placement
+    attempt failed); all regimes' attempts advance in lockstep.
+    """
     lanes = [_RegimeLane(target, seed, params, max_attempts) for target in targets]
     return LockstepScheduler().run(lanes)
 
@@ -188,7 +162,6 @@ def measure_profiles_batched(
     config=Config,
     presets={"smoke": {}, "quick": {}, "full": {}},
     tags=("phy", "diversity"),
-    batched=True,
     summary_keys={
         "{regime}_single_flatness_db": "per-subcarrier SNR standard deviation of the better single sender in the {regime} regime",
         "{regime}_sourcesync_flatness_db": "per-subcarrier SNR standard deviation of the joint transmission in the {regime} regime",
@@ -197,22 +170,21 @@ def measure_profiles_batched(
 )
 def _run(config: Config) -> ExperimentResult:
     """Regenerate Fig. 16(a-c): per-subcarrier SNR in the three regimes."""
+    measured = measure_profiles(
+        list(REGIME_TARGET_SNR_DB.values()),
+        seed=config.seed, params=config.params, max_attempts=config.max_attempts,
+    )
+    return _result(config, measured)
+
+
+def _result(
+    config: Config, measured: list[dict[str, np.ndarray] | None]
+) -> ExperimentResult:
+    """Fold the per-regime profiles (in ``REGIME_TARGET_SNR_DB`` order) into Fig. 16."""
     params = config.params
     series: dict[str, list[float]] = {"subcarrier_index": list(range(params.n_occupied_subcarriers))}
     summary: dict[str, float] = {}
-    if config.batched:
-        batched = measure_profiles_batched(
-            list(REGIME_TARGET_SNR_DB.values()),
-            seed=config.seed, params=params, max_attempts=config.max_attempts,
-        )
-        per_regime = dict(zip(REGIME_TARGET_SNR_DB, batched))
-    for regime, target in REGIME_TARGET_SNR_DB.items():
-        if config.batched:
-            profiles = per_regime[regime]
-        else:
-            profiles = measure_profiles(
-                target, seed=config.seed, params=params, max_attempts=config.max_attempts
-            )
+    for regime, profiles in zip(REGIME_TARGET_SNR_DB, measured):
         if profiles is None:
             continue
         for key, values in profiles.items():
@@ -241,7 +213,3 @@ def _run(config: Config) -> ExperimentResult:
 
 SPEC = _run.spec
 
-
-def run(**kwargs) -> ExperimentResult:
-    """Legacy entry point: ``run(**kwargs)`` is ``SPEC.run(Config(**kwargs))``."""
-    return SPEC.run(Config(**kwargs))

@@ -13,21 +13,19 @@ from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from repro.analysis.cdf import EmpiricalCDF
 from repro.channel.propagation import PathLossModel
-from repro.experiments.batch import run_seed_chunks, run_trials
+from repro.experiments.batch import run_seed_chunks
 from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import experiment
 from repro.lasthop.controller import SourceSyncController
-from repro.lasthop.simulation import simulate_downlink
 from repro.net.topology import Testbed
 from repro.phy.params import OFDMParams, DEFAULT_PARAMS
 
-__all__ = ["Config", "SPEC", "run", "simulate_placement"]
+__all__ = ["Config", "SPEC"]
 
 
 @dataclass(frozen=True)
@@ -35,19 +33,17 @@ class Config:
     """Parameters of the Fig. 17 reproduction.
 
     ``jobs`` runs the (independent, per-trial-seeded) placements across a
-    process pool; results are identical for any value.  ``batched`` runs
-    the placement ensemble through the lockstep last-hop engine
+    process pool; results are identical for any value.  The placement
+    ensemble runs through the lockstep last-hop engine
     (:func:`repro.routing.ensemble.simulate_downlink_ensemble`): all
     placements advance packet-by-packet in waves with SampleRate state and
     delivery-probability tables held in stacked arrays, while each
-    placement's generator sees its sequential draw order — results match
-    the per-placement path (``batched=False``) bit-for-bit.
+    placement's generator sees its sequential draw order.
     """
 
     n_placements: int = 25
     n_packets: int = 120
     seed: int = 17
-    batched: bool = True
     jobs: int = 1
     params: OFDMParams = DEFAULT_PARAMS
 
@@ -100,23 +96,6 @@ def _build_placement(
     return testbed, controller, client
 
 
-def simulate_placement(
-    rng: np.random.Generator,
-    n_packets: int = 150,
-    params: OFDMParams = DEFAULT_PARAMS,
-    ap_separation_m: float = 45.0,
-    min_reachable_snr_db: float = 5.0,
-    max_attempts: int = 20,
-) -> tuple[float, float]:
-    """(best-AP throughput, SourceSync throughput) for one random placement."""
-    testbed, controller, client = _build_placement(
-        rng, params, ap_separation_m, min_reachable_snr_db, max_attempts
-    )
-    best = simulate_downlink(testbed, controller, client, scheme="best_ap", n_packets=n_packets, rng=rng)
-    joint = simulate_downlink(testbed, controller, client, scheme="sourcesync", n_packets=n_packets, rng=rng)
-    return best.throughput_mbps, joint.throughput_mbps
-
-
 def _placement_ensemble_chunk(
     children: list[np.random.SeedSequence],
     n_packets: int,
@@ -124,8 +103,8 @@ def _placement_ensemble_chunk(
 ) -> list[tuple[float, float]]:
     """Run a chunk of placement trials through the lockstep last-hop engine.
 
-    Per lane the draw order matches a sequential :func:`simulate_placement`
-    exactly: placement/admission draws, then the best-AP stream, then the
+    Per lane the draw order matches a sequential placement trial exactly:
+    placement/admission draws, then the best-AP stream, then the
     SourceSync stream.  The two schemes share one generator, so each
     placement contributes a *chained* lane pair (``after=``) and the whole
     chunk — both schemes of every placement — advances as one ensemble
@@ -157,20 +136,13 @@ def _run_placement_ensemble(
     params: OFDMParams,
     jobs: int = 1,
 ) -> list[tuple[float, float]]:
-    """Lockstep counterpart of the ``run_trials`` placement loop.
+    """Every placement's (best-AP, SourceSync) throughput pair, in trial order.
 
-    Per-trial seeding is shared with the sequential path through
+    Trial ``i`` draws from child ``i`` of ``SeedSequence(seed)`` through
     :func:`repro.experiments.batch.run_seed_chunks`, which also shards the
     lanes across a process pool (``jobs > 1``) without changing any output.
     """
     return run_seed_chunks(_placement_ensemble_chunk, n_placements, seed, jobs, n_packets, params)
-
-
-def _placement_trial(
-    _index: int, rng: np.random.Generator, n_packets: int, params: OFDMParams
-) -> tuple[float, float]:
-    """Module-level trial body so ``run_trials`` can pickle it for ``jobs > 1``."""
-    return simulate_placement(rng, n_packets=n_packets, params=params)
 
 
 @experiment(
@@ -183,7 +155,6 @@ def _placement_trial(
         "full": {"n_placements": 40, "n_packets": 150},
     },
     tags=("mac", "diversity"),
-    batched=True,
     summary_keys={
         "best_ap_median_mbps": "median downlink throughput when the client is served by its single best AP",
         "sourcesync_median_mbps": "median downlink throughput under joint multi-AP SourceSync transmission",
@@ -197,28 +168,25 @@ def _run(config: Config) -> ExperimentResult:
     from the experiment seed — seeded results are independent of trial
     execution order and parallelise over ``config.jobs`` processes without
     changing.  Each trial contains a rate-adaptation feedback loop, so a
-    trial's packet stream stays sequential; with ``config.batched`` the
-    placements advance packet-by-packet in lockstep through
+    trial's packet stream stays sequential; the placements advance
+    packet-by-packet in lockstep through
     :func:`repro.routing.ensemble.simulate_downlink_ensemble`, which holds
     the SampleRate decision state and the per-rate delivery/airtime tables
-    of every lane in stacked arrays (bit-identical results either way).
+    of every lane in stacked arrays.
     """
+    pairs = _run_placement_ensemble(
+        config.n_placements,
+        n_packets=config.n_packets,
+        seed=config.seed,
+        params=config.params,
+        jobs=config.jobs,
+    )
+    return _result(config, pairs)
+
+
+def _result(config: Config, pairs: list[tuple[float, float]]) -> ExperimentResult:
+    """Fold per-placement (best-AP, SourceSync) throughputs into the CDFs."""
     n_placements = config.n_placements
-    if config.batched:
-        pairs = _run_placement_ensemble(
-            n_placements,
-            n_packets=config.n_packets,
-            seed=config.seed,
-            params=config.params,
-            jobs=config.jobs,
-        )
-    else:
-        pairs = run_trials(
-            partial(_placement_trial, n_packets=config.n_packets, params=config.params),
-            n_placements,
-            seed=config.seed,
-            jobs=config.jobs,
-        )
     best_values = [best for best, _ in pairs]
     joint_values = [joint for _, joint in pairs]
 
@@ -247,7 +215,3 @@ def _run(config: Config) -> ExperimentResult:
 
 SPEC = _run.spec
 
-
-def run(**kwargs) -> ExperimentResult:
-    """Legacy entry point: ``run(**kwargs)`` is ``SPEC.run(Config(**kwargs))``."""
-    return SPEC.run(Config(**kwargs))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import Callable
 
 from repro.analysis.fct import (
     FctSummary,
@@ -32,11 +33,12 @@ from repro.analysis.fct import (
 from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import experiment
 from repro.phy.params import DEFAULT_PARAMS, OFDMParams
+from repro.net.topology import Testbed
 from repro.traffic.service import FlowService, incast_mesh, relay_mesh, simulate_flow_services
 from repro.traffic.sizes import SIZE_MIX_NAMES, make_size_mix
 from repro.traffic.workload import TrafficWorkload, derive_seed, incast_workload, poisson_workload
 
-__all__ = ["Config", "SPEC", "run"]
+__all__ = ["Config", "SPEC"]
 
 #: The schemes this experiment sweeps — the original three, pinned locally
 #: so the canonical scheme list growing (link_local lives in
@@ -53,9 +55,8 @@ class Config:
 
     ``loads`` is the offered-load axis (offered payload bits over the
     nominal link rate; the measured saturation point lands well below 1.0
-    on a lossy multi-hop mesh).  ``batched`` serves flows through the
-    lockstep mesh engine (flows as lanes, chained schemes); the per-flow
-    sequential path (``batched=False``) is the bit-identical oracle.
+    on a lossy multi-hop mesh).  Flows are served through the lockstep
+    mesh engine (flows as lanes, chained schemes);
     ``jobs``/``chunk_flows`` shard the flow set across processes / bound
     lane width without changing any output — every flow's service stream
     is keyed by (workload seed, flow index) alone.
@@ -80,7 +81,6 @@ class Config:
     n_relays: int = 3
     incast_relays: int = 2
     seed: int = 19
-    batched: bool = True
     jobs: int = 1
     chunk_flows: int = 0
     params: OFDMParams = DEFAULT_PARAMS
@@ -108,24 +108,6 @@ class Config:
             raise ValueError("jobs must be >= 1")
         if self.chunk_flows < 0:
             raise ValueError("chunk_flows must be >= 0 (0 = one shard per job)")
-
-
-def _serve(
-    config: Config,
-    workload: TrafficWorkload,
-    factory,
-    dst: int,
-) -> dict[str, list[FlowService]]:
-    """Serve a workload under every scheme with the config's execution plan."""
-    return simulate_flow_services(
-        workload,
-        factory,
-        dst,
-        schemes=_SCHEMES,
-        lockstep=config.batched,
-        jobs=config.jobs,
-        chunk_flows=config.chunk_flows,
-    )
 
 
 def _summarise(workload: TrafficWorkload, services: list[FlowService]) -> FctSummary:
@@ -163,7 +145,6 @@ def _summarise(workload: TrafficWorkload, services: list[FlowService]) -> FctSum
         },
     },
     tags=("routing", "traffic", "load"),
-    batched=True,
     summary_keys={
         "saturation_load_{scheme}": (
             "offered load at which the scheme's FIFO service queue saturates "
@@ -188,6 +169,30 @@ def _summarise(workload: TrafficWorkload, services: list[FlowService]) -> FctSum
 )
 def _run(config: Config) -> ExperimentResult:
     """Serve the Poisson load sweep and the incast burst; extract FCT metrics."""
+    workloads, served = _plan(config)
+    services = [
+        simulate_flow_services(
+            workload, factory, dst,
+            schemes=_SCHEMES, jobs=config.jobs, chunk_flows=config.chunk_flows,
+        )
+        for workload, factory, dst in served
+    ]
+    return _result(config, workloads, served, services)
+
+
+#: One served workload: ``(workload, testbed factory, destination node)``.
+_Served = tuple[TrafficWorkload, Callable[[], Testbed], int]
+
+
+def _plan(config: Config) -> tuple[list[TrafficWorkload], list[_Served]]:
+    """The per-load Poisson workloads and the workloads actually served.
+
+    One population serves every load point: flow sizes and service streams
+    depend only on (population seed, index), so the services of the first
+    load's workload are bit-identical for all loads and only it is served
+    (src 0 → dst 1 over the relay mesh).  With ``incast``, the
+    N-senders→1-victim burst (victim node 0) is served second.
+    """
     mix = make_size_mix(
         config.size_mix,
         fixed_packets=config.fixed_packets,
@@ -197,10 +202,6 @@ def _run(config: Config) -> ExperimentResult:
         empirical_packets=config.empirical_packets,
         empirical_weights=config.empirical_weights,
     )
-    series: dict[str, list[float]] = {"load": list(config.loads)}
-    summary: dict[str, float] = {}
-
-    # --- Poisson open-loop load sweep over the relay mesh (src 0 → dst 1).
     factory = partial(
         relay_mesh, derive_seed(config.seed, 0), n_relays=config.n_relays, params=config.params
     )
@@ -212,13 +213,40 @@ def _run(config: Config) -> ExperimentResult:
         )
         for load in config.loads
     ]
-    # One population serves every load point: flow sizes and service
-    # streams depend only on (population seed, index), so the services of
-    # workloads[0] are bit-identical for all loads.
-    services = _serve(config, workloads[0], factory, dst=1)
+    served: list[_Served] = [(workloads[0], factory, 1)]
+    if config.incast:
+        incast_factory = partial(
+            incast_mesh,
+            derive_seed(config.seed, 2),
+            n_senders=config.n_senders,
+            n_relays=config.incast_relays,
+            params=config.params,
+        )
+        burst = incast_workload(
+            tuple(range(1, config.n_senders + 1)),
+            mix,
+            config.rate_mbps,
+            config.payload_bytes,
+            seed=derive_seed(config.seed, 3),
+            jitter_us=config.incast_jitter_us,
+        )
+        served.append((burst, incast_factory, 0))
+    return workloads, served
+
+
+def _result(
+    config: Config,
+    workloads: list[TrafficWorkload],
+    served: list[_Served],
+    services: list[dict[str, list[FlowService]]],
+) -> ExperimentResult:
+    """Fold the served flows into per-load FCT rows and the incast summary."""
+    series: dict[str, list[float]] = {"load": list(config.loads)}
+    summary: dict[str, float] = {}
+    poisson_services = services[0]
     top = len(config.loads) - 1
     summaries: dict[str, list[FctSummary]] = {
-        scheme: [_summarise(workload, services[scheme]) for workload in workloads]
+        scheme: [_summarise(workload, poisson_services[scheme]) for workload in workloads]
         for scheme in _SCHEMES
     }
     for scheme in _SCHEMES:
@@ -247,22 +275,8 @@ def _run(config: Config) -> ExperimentResult:
 
     # --- Incast burst: N senders on a ring fire at one victim (node 0).
     if config.incast:
-        incast_factory = partial(
-            incast_mesh,
-            derive_seed(config.seed, 2),
-            n_senders=config.n_senders,
-            n_relays=config.incast_relays,
-            params=config.params,
-        )
-        burst = incast_workload(
-            tuple(range(1, config.n_senders + 1)),
-            mix,
-            config.rate_mbps,
-            config.payload_bytes,
-            seed=derive_seed(config.seed, 3),
-            jitter_us=config.incast_jitter_us,
-        )
-        incast_services = _serve(config, burst, incast_factory, dst=0)
+        burst = served[1][0]
+        incast_services = services[1]
         burst_senders = [flow.sender for flow in burst.flows]
         for scheme in _SCHEMES:
             label = _LABELS[scheme]
@@ -301,7 +315,3 @@ def _run(config: Config) -> ExperimentResult:
 
 SPEC = _run.spec
 
-
-def run(**kwargs) -> ExperimentResult:
-    """Legacy entry point: ``run(**kwargs)`` is ``SPEC.run(Config(**kwargs))``."""
-    return SPEC.run(Config(**kwargs))

@@ -44,7 +44,7 @@ from repro.traffic.service import SCHEMES, FlowService, incast_mesh, simulate_fl
 from repro.traffic.sizes import SIZE_MIX_NAMES, make_size_mix
 from repro.traffic.workload import TrafficWorkload, derive_seed, poisson_workload
 
-__all__ = ["Config", "SPEC", "run"]
+__all__ = ["Config", "SPEC"]
 
 #: Scheme → key label (summary-key placeholders cannot carry underscores).
 _LABELS = {
@@ -66,10 +66,9 @@ class Config:
     (``grid_speeds_mbps``/``grid_loss_rates``) stacks a static, rate-
     dependent extra loss on top.  The link-local scheme's protection
     budget is the ``local_retry_limit``/``e2e_retry_limit``/
-    ``timeout_fraction``/``backoff_factor`` block.  ``batched`` serves
-    flows through the lockstep mesh engine; the per-flow sequential path
-    (``batched=False``) is the bit-identical oracle, and
-    ``jobs``/``chunk_flows`` shard flows without changing any output.
+    ``timeout_fraction``/``backoff_factor`` block.  Flows are served
+    through the lockstep mesh engine; ``jobs``/``chunk_flows`` shard flows
+    without changing any output.
     """
 
     loss_rates: tuple[float, ...] = (0.2, 0.5, 0.8)
@@ -96,7 +95,6 @@ class Config:
     empirical_packets: tuple[int, ...] = (1, 4, 16, 64)
     empirical_weights: tuple[float, ...] = (0.5, 0.3, 0.15, 0.05)
     seed: int = 20
-    batched: bool = True
     jobs: int = 1
     chunk_flows: int = 0
     params: OFDMParams = DEFAULT_PARAMS
@@ -211,7 +209,6 @@ def _summarise(workload: TrafficWorkload, services: list[FlowService]) -> FctSum
         },
     },
     tags=("routing", "traffic", "robustness"),
-    batched=True,
     summary_keys={
         "goodput_mbps_{scheme}_worst": (
             "delivered goodput at the worst swept cell (deepest loss, longest "
@@ -275,7 +272,6 @@ def _run(config: Config) -> ExperimentResult:
                 factory,
                 dst=0,
                 schemes=SCHEMES,
-                lockstep=config.batched,
                 jobs=config.jobs,
                 chunk_flows=config.chunk_flows,
                 dynamics=config.dynamics_for(loss, burst),
@@ -345,7 +341,3 @@ def _run(config: Config) -> ExperimentResult:
 
 SPEC = _run.spec
 
-
-def run(**kwargs) -> ExperimentResult:
-    """Legacy entry point: ``run(**kwargs)`` is ``SPEC.run(Config(**kwargs))``."""
-    return SPEC.run(Config(**kwargs))

@@ -220,9 +220,6 @@ class ExperimentSpec:
     tags:
         Classification labels (``phy``, ``mac``, ``routing``, ...) used by
         ``--tag`` filters.
-    batched:
-        Whether the experiment's Monte-Carlo core runs through the batched
-        ensemble kernels of :mod:`repro.experiments.batch`.
     summary_keys:
         Documentation of the scalar ``summary`` keys the experiment's
         artifacts carry: mapping of key *pattern* to a one-line description.
@@ -238,7 +235,6 @@ class ExperimentSpec:
     fn: Callable[[Any], ExperimentResult]
     presets: Mapping[str, Mapping[str, Any]] = field(default_factory=dict)
     tags: tuple[str, ...] = ()
-    batched: bool = False
     summary_keys: Mapping[str, str] = field(default_factory=dict)
 
     def documents_summary_key(self, key: str) -> bool:
@@ -267,9 +263,7 @@ class ExperimentSpec:
     def run(self, config: Any = None) -> ExperimentResult:
         """Run the experiment and attach config + provenance to the result.
 
-        ``config`` defaults to the ``quick`` preset.  The legacy
-        ``module.run(**kwargs)`` shims delegate here, so both entry points
-        produce identical seeded results.
+        ``config`` defaults to the ``quick`` preset.
         """
         if config is None:
             config = self.make_config("quick")
@@ -303,7 +297,6 @@ def experiment(
     config: type,
     presets: Mapping[str, Mapping[str, Any]],
     tags: Iterable[str] = (),
-    batched: bool = False,
     summary_keys: Mapping[str, str] | None = None,
 ) -> Callable[[Callable[[Any], ExperimentResult]], Callable[[Any], ExperimentResult]]:
     """Register the decorated ``fn(config) -> ExperimentResult`` function.
@@ -331,7 +324,6 @@ def experiment(
             fn=fn,
             presets={k: dict(v) for k, v in presets.items()},
             tags=tuple(tags),
-            batched=batched,
             summary_keys=dict(summary_keys or {}),
         )
         for preset in spec.presets:

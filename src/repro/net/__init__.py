@@ -1,4 +1,4 @@
-"""Network substrate: nodes, testbed topology, ETX metrics, MAC timing, events."""
+"""Network substrate: nodes, testbed topology, ETX metrics, MAC timing."""
 
 from repro.net.etx import (
     best_route,
@@ -8,20 +8,15 @@ from repro.net.etx import (
     link_etx,
     path_etx,
 )
-from repro.net.events import Event, EventScheduler
 from repro.net.mac import CsmaState, MacTiming
 from repro.net.node import MeshNode
-from repro.net.packet import Packet
 from repro.net.topology import Testbed
 
 __all__ = [
     "MeshNode",
-    "Packet",
     "Testbed",
     "MacTiming",
     "CsmaState",
-    "EventScheduler",
-    "Event",
     "link_etx",
     "etx_graph",
     "path_etx",

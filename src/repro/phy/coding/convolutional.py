@@ -93,6 +93,13 @@ class ConvolutionalCode:
             self._prev_outputs[choice] = self._output[bits, prev]
         # Branch metric signs (1-2*bit) used by the soft decoder.
         self._prev_sign = 1.0 - 2.0 * self._prev_outputs.astype(np.float64)
+        # get_code() shares one instance process-wide, so its tables must
+        # be read-only like every other memoised PHY array.
+        for table in (
+            self._next_state, self._output, self._entry_bit,
+            self._prev_states, self._prev_outputs, self._prev_sign,
+        ):
+            table.setflags(write=False)
 
     # ------------------------------------------------------------------
     # Encoding

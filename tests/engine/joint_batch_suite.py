@@ -6,8 +6,9 @@ identical seeds: the lockstep engine consumes each session's generator in
 exactly the sequential order, so detection outcomes, CRC/decode outcomes
 and schedules are identical, and floating-point measurements agree to a few
 ulp (SIMD kernel selection on batched arrays — the documented
-``receive_batch`` caveat).  The four converted experiments are additionally
-checked end to end at their smoke presets.
+``receive_batch`` caveat).  The experiments built on these kernels are
+checked end to end against their sequential oracles by the conformance
+kit (``test_engine_conformance.py``).
 """
 
 import numpy as np
@@ -176,45 +177,3 @@ class TestJointBatchFrames:
         assert a.result.detected == b.result.detected
         assert a.result.start_index == b.result.start_index
         assert a.result.payload == b.result.payload
-
-
-@pytest.mark.parametrize("name", ["fig12", "fig13", "fig15", "fig18"])
-def test_joint_batch_smoke_preset_equivalence(name):
-    """The four converted experiments: batched == sequential at smoke scale."""
-    from repro.experiments import registry
-
-    spec = registry.get(name)
-    batched = spec.run(spec.make_config("smoke"))
-    sequential = spec.run(spec.make_config("smoke", {"batched": False}))
-    _assert_series_equal(batched, sequential)
-
-
-def test_joint_batch_fig13_multi_topology_equivalence():
-    """fig13's widened chains (n_topologies > 1): both chains' sessions fold
-    into one joint-frame ensemble and must still match the sequential
-    per-session sweeps, summary included."""
-    from repro.experiments import registry
-
-    spec = registry.get("fig13")
-    overrides = {"n_topologies": 3}
-    batched = spec.run(spec.make_config("smoke", overrides))
-    sequential = spec.run(spec.make_config("smoke", {**overrides, "batched": False}))
-    _assert_series_equal(batched, sequential)
-    assert batched.summary.keys() == sequential.summary.keys()
-    for key in batched.summary:
-        np.testing.assert_allclose(
-            batched.summary[key], sequential.summary[key], rtol=1e-9, equal_nan=True
-        )
-
-
-def _assert_series_equal(batched, sequential):
-    """Every series column numerically identical across the two paths."""
-    assert batched.series.keys() == sequential.series.keys()
-    for key in batched.series:
-        first = batched.series[key]
-        if first and isinstance(first[0], str):
-            assert first == sequential.series[key]
-        else:
-            np.testing.assert_allclose(
-                first, sequential.series[key], rtol=1e-9, equal_nan=True
-            )

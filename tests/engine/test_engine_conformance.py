@@ -2,10 +2,13 @@
 
 Registers one :class:`tests.engine.conformance.LaneCase` per lane class —
 packet ensembles, joint frames, ExOR, single-path, link-local recovery,
-downlink last hop, traffic flows, and the two batched experiments
-(fig16 regime search, ablation_slope trials) — then runs the kit's
-parametrized checks over the registry: lockstep-vs-sequential identity,
-ledger audits, chained activation, empty ensembles, and chunking/jobs
+downlink last hop, traffic flows, and the two experiment-owned lanes
+(fig16 regime search, ablation_slope trials) — plus one case per
+experiment whose Monte-Carlo core runs on a lockstep engine, comparing
+the experiment's production run against its sequential oracle
+(``tests/engine/experiment_oracles.py``).  The kit's parametrized checks
+then run over the registry: lockstep-vs-sequential identity, ledger
+audits, chained activation, empty ensembles, and chunking/jobs
 invariance (including non-dividing chunk widths).
 
 Workloads here are deliberately tiny (a handful of packets, two lanes):
@@ -20,6 +23,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from repro.engine import Lane, LockstepScheduler
 from tests.engine.conformance import (
     CASES,
     LaneCase,
@@ -403,7 +407,7 @@ register(LaneCase(
 
 
 # ----------------------------------------------------------------------
-# fig16 regime search (batched experiment lane)
+# fig16 regime search (experiment-owned lane)
 # ----------------------------------------------------------------------
 def _fig16_target() -> float:
     from repro.experiments.fig15_power_gains import REGIME_TARGET_SNR_DB
@@ -412,15 +416,15 @@ def _fig16_target() -> float:
 
 
 def _fig16_lockstep():
-    from repro.experiments.fig16_frequency_diversity import measure_profiles_batched
+    from repro.experiments.fig16_frequency_diversity import measure_profiles
 
-    return measure_profiles_batched([_fig16_target()], seed=16, max_attempts=2)
+    return measure_profiles([_fig16_target()], seed=16, max_attempts=2)
 
 
 def _fig16_sequential():
-    from repro.experiments.fig16_frequency_diversity import measure_profiles
+    from tests.engine.experiment_oracles import measure_profiles_sequential
 
-    return [measure_profiles(_fig16_target(), seed=16, max_attempts=2)]
+    return [measure_profiles_sequential(_fig16_target(), seed=16, max_attempts=2)]
 
 
 # allclose compare and no audit pair: the regime's measurement runs
@@ -436,14 +440,14 @@ register(LaneCase(
 
 
 # ----------------------------------------------------------------------
-# ablation_slope trials (batched experiment lane, chained on one rng)
+# ablation_slope trials (experiment-owned lane, chained on one rng)
 # ----------------------------------------------------------------------
-def _ablation_run(batched: bool, n_trials: int = 3):
+def _ablation_run(lockstep: bool, n_trials: int = 3):
     from repro.experiments.ablation_slope import estimation_errors
+    from tests.engine.experiment_oracles import estimation_errors_sequential
 
-    windowed, fullband = estimation_errors(
-        (1.0, 2.0), snr_db=15.0, n_trials=n_trials, seed=42, batched=batched
-    )
+    run = estimation_errors if lockstep else estimation_errors_sequential
+    windowed, fullband = run((1.0, 2.0), snr_db=15.0, n_trials=n_trials, seed=42)
     return [windowed, fullband]
 
 
@@ -465,6 +469,47 @@ register(LaneCase(
     chained=_ablation_chained,
     empty=_ablation_empty,
 ))
+
+
+# ----------------------------------------------------------------------
+# Experiments: the production (lockstep) run vs the sequential oracle
+# ----------------------------------------------------------------------
+def _experiment_run(name: str, overrides: dict, oracle: bool):
+    """``name``'s smoke preset (plus ``overrides``), lockstep or oracle.
+
+    Both sides return the raw :class:`ExperimentResult` of the
+    experiment's fold (no provenance), so the whole result is compared.
+    """
+    from repro.experiments import registry
+    from tests.engine.experiment_oracles import ORACLES
+
+    spec = registry.get(name)
+    config = spec.make_config("smoke", overrides)
+    return ORACLES[name](config) if oracle else spec.fn(config)
+
+
+# Joint-frame experiments (fig12/13/15/16) measure through the batched
+# receive kernels, so their floats carry the documented ulp tolerance;
+# the routing, traffic and slope experiments are bit-identical.
+for _case, _name, _overrides, _compare in (
+    ("fig12_smoke", "fig12", {}, assert_results_close),
+    ("fig13_smoke", "fig13", {}, assert_results_close),
+    # Widened chains: every topology of both chains folds into one
+    # joint-frame ensemble.
+    ("fig13_multi_topology", "fig13", {"n_topologies": 3}, assert_results_close),
+    ("fig15_smoke", "fig15", {}, assert_results_close),
+    ("fig16_smoke", "fig16", {}, assert_results_close),
+    ("fig17_smoke", "fig17", {}, assert_results_equal),
+    ("fig18_smoke", "fig18", {}, assert_results_equal),
+    ("fig19_smoke", "fig19_traffic_load", {}, assert_results_equal),
+    ("ablation_slope_smoke", "ablation_slope", {}, assert_results_equal),
+):
+    register(LaneCase(
+        name=_case,
+        lockstep=partial(_experiment_run, _name, _overrides, False),
+        sequential=partial(_experiment_run, _name, _overrides, True),
+        compare=_compare,
+    ))
 
 
 # ----------------------------------------------------------------------
@@ -512,7 +557,55 @@ def test_engine_conformance_registry_covers_all_lanes():
     assert set(CASES) == {
         "packet", "joint_frame", "exor", "single_path", "link_local",
         "downlink", "traffic_flow", "fig16_regime", "ablation_slope",
+        "fig12_smoke", "fig13_smoke", "fig13_multi_topology", "fig15_smoke",
+        "fig16_smoke", "fig17_smoke", "fig18_smoke", "fig19_smoke",
+        "ablation_slope_smoke",
     }
+
+
+class _OneWaveLane(Lane):
+    """Minimal lane: finishes after one advance, holds a sizeable array."""
+
+    def __init__(self, seed, after=None):
+        self.rng = np.random.default_rng(seed)
+        self.after = after
+        self.payload = np.zeros(1024)
+        self.done = False
+
+    def advance(self):
+        self.done = True
+
+    @property
+    def finished(self):
+        return self.done
+
+    def result(self):
+        return float(self.rng.random())
+
+
+def test_engine_conformance_scheduler_frees_lanes_on_return():
+    """A finished run keeps no lane alive for the cyclic GC to find.
+
+    Lanes hold large per-lane arrays (fig20's trajectory cubes); if they
+    outlive ``run`` until a cyclic collection, peak memory depends on when
+    the collector happens to fire.
+    """
+    import gc
+    import weakref
+
+    first = _OneWaveLane(1)
+    lanes = [first, _OneWaveLane(2), _OneWaveLane(1, after=first)]
+    refs = [weakref.ref(lane) for lane in lanes]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        results = LockstepScheduler().run(lanes)
+        del lanes, first
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(results) == 3
 
 
 def _seed_chunk_probe(children):

@@ -144,21 +144,6 @@ def _must_not_run(*args):
 class TestEmptyEnsembleGuards:
     """Regression: zero-trial calls invoke nothing and consume no entropy."""
 
-    def test_run_trials_zero_trials(self):
-        from repro.experiments.batch import run_trials
-
-        assert run_trials(_must_not_run, 0, seed=7) == []
-
-    def test_run_trials_zero_trials_leaves_seed_sequence_untouched(self):
-        from repro.experiments.batch import run_trials
-
-        shared = np.random.SeedSequence(7)
-        run_trials(_must_not_run, 0, seed=shared)
-        # A later spawn must hand out the same children as a fresh sequence:
-        # the zero-trial call reserved no spawn keys.
-        fresh = np.random.SeedSequence(7)
-        assert [c.spawn_key for c in shared.spawn(2)] == [c.spawn_key for c in fresh.spawn(2)]
-
     def test_run_seed_chunks_zero_trials(self):
         from repro.experiments.batch import run_seed_chunks
 

@@ -1,9 +1,9 @@
-"""Edge cases of the ensemble runner: empty ensembles and seeded trials."""
+"""Edge cases of the ensemble runner: empty ensembles and seeded trial chunks."""
 
 import numpy as np
 import pytest
 
-from repro.experiments.batch import run_packet_ensemble, run_trials
+from repro.experiments.batch import run_packet_ensemble
 
 
 class TestEmptyEnsemble:
@@ -31,35 +31,6 @@ class TestEmptyEnsemble:
             3, payload_bytes=24, snr_db=25.0, seed=5, genie_timing=True, leading_silence=0
         )
         assert result.delivery_ratio == 1.0
-
-
-def _seeded_trial(index: int, rng: np.random.Generator) -> tuple[int, float]:
-    """Module-level so the process pool can pickle it."""
-    return index, float(rng.random())
-
-
-class TestRunTrials:
-    def test_results_in_trial_order(self):
-        results = run_trials(_seeded_trial, 6, seed=11)
-        assert [i for i, _ in results] == list(range(6))
-
-    def test_order_independent_under_same_seed(self):
-        """Shuffling execution order reproduces the same per-trial results."""
-        forward = run_trials(_seeded_trial, 8, seed=42)
-        children = np.random.SeedSequence(42).spawn(8)
-        order = list(reversed(range(8)))
-        shuffled = [_seeded_trial(i, np.random.default_rng(children[i])) for i in order]
-        assert sorted(shuffled) == sorted(forward)
-        assert dict(shuffled) == dict(forward)
-
-    def test_process_pool_identical_to_sequential(self):
-        sequential = run_trials(_seeded_trial, 5, seed=3, jobs=1)
-        parallel = run_trials(_seeded_trial, 5, seed=3, jobs=2)
-        assert sequential == parallel
-
-    def test_negative_trials_rejected(self):
-        with pytest.raises(ValueError):
-            run_trials(_seeded_trial, -1, seed=0)
 
 
 def test_fig17_jobs_overrides_are_deterministic():
@@ -93,6 +64,22 @@ def test_run_seed_chunks_matches_unchunked():
     pooled = run_seed_chunks(_square_chunk, 7, 5, 3, 100)
     assert single == pooled
     assert len(single) == 7
+
+
+def test_run_seed_chunks_seeds_trial_i_from_child_i():
+    """Trial i sees child i of the seed sequence whatever runs beside it."""
+    from repro.experiments.batch import run_seed_chunks
+
+    children = np.random.SeedSequence(42).spawn(8)
+    alone = [_square_chunk([child], 0)[0] for child in reversed(children)]
+    assert run_seed_chunks(_square_chunk, 8, 42, 1, 0) == alone[::-1]
+
+
+def test_run_seed_chunks_rejects_negative_trials():
+    from repro.experiments.batch import run_seed_chunks
+
+    with pytest.raises(ValueError, match="n_trials"):
+        run_seed_chunks(_square_chunk, -1, 0, 1, 0)
 
 
 class TestSeedChunkSize:

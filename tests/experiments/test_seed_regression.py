@@ -14,9 +14,10 @@ Re-pinned with the batched joint-frame core path: the detector's
 also moves the coarse-CFO estimation window), fig12/fig15 now seed every
 (SNR, topology) cell from its own spawned generator, fig13 freezes the
 tracking loop during the measured CP sweep, and fig17/fig18 thread
-independent per-trial seeds through ``run_trials`` — all deliberate,
-order-independence-enabling changes (see CHANGES.md).  The batched and
-sequential (``batched=False``) paths produce these same values.
+independent per-trial seeds through ``run_seed_chunks`` — all deliberate,
+order-independence-enabling changes (see CHANGES.md).  The sequential
+oracles of the conformance kit (``tests/engine/experiment_oracles.py``)
+reproduce the lockstep runs these values pin.
 """
 
 import numpy as np

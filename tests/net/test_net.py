@@ -1,14 +1,12 @@
-"""Tests for the network substrate: topology, ETX, MAC timing, event scheduler."""
+"""Tests for the network substrate: topology, ETX and MAC timing."""
 
 import numpy as np
 import pytest
 
 from repro.net import (
     CsmaState,
-    EventScheduler,
     MacTiming,
     MeshNode,
-    Packet,
     Testbed,
     best_route,
     etx_graph,
@@ -45,16 +43,6 @@ class TestNodesAndPackets:
         rng = np.random.default_rng(1)
         node = MeshNode.random(5, rng, area_m=30.0)
         assert 0 <= node.x <= 30 and 0 <= node.y <= 30
-
-    def test_packet_sequence_increases(self):
-        a = Packet(src=0, dst=1)
-        b = Packet(src=0, dst=1)
-        assert b.seq > a.seq
-        assert a.payload_bits == 1460 * 8
-
-    def test_packet_rejects_empty_payload(self):
-        with pytest.raises(ValueError):
-            Packet(src=0, dst=1, payload_bytes=0)
 
 
 class TestTestbed:
@@ -274,59 +262,3 @@ class TestMacTiming:
         with pytest.raises(ValueError):
             state.account(-1.0, True)
 
-
-class TestEventScheduler:
-    def test_events_run_in_time_order(self):
-        sched = EventScheduler()
-        order = []
-        sched.schedule_at(5.0, lambda: order.append("b"))
-        sched.schedule_at(1.0, lambda: order.append("a"))
-        sched.schedule_at(9.0, lambda: order.append("c"))
-        sched.run()
-        assert order == ["a", "b", "c"]
-        assert sched.now_us == pytest.approx(9.0)
-
-    def test_schedule_in_relative(self):
-        sched = EventScheduler()
-        times = []
-        sched.schedule_in(2.0, lambda: times.append(sched.now_us))
-        sched.run()
-        assert times == [pytest.approx(2.0)]
-
-    def test_cancelled_event_skipped(self):
-        sched = EventScheduler()
-        fired = []
-        event = sched.schedule_at(1.0, lambda: fired.append(1))
-        event.cancel()
-        sched.run()
-        assert fired == []
-
-    def test_run_until(self):
-        sched = EventScheduler()
-        fired = []
-        sched.schedule_at(1.0, lambda: fired.append(1))
-        sched.schedule_at(10.0, lambda: fired.append(2))
-        sched.run(until_us=5.0)
-        assert fired == [1]
-        assert sched.now_us == pytest.approx(5.0)
-        sched.run()
-        assert fired == [1, 2]
-
-    def test_cannot_schedule_in_past(self):
-        sched = EventScheduler()
-        sched.schedule_at(5.0, lambda: None)
-        sched.run()
-        with pytest.raises(ValueError):
-            sched.schedule_at(1.0, lambda: None)
-
-    def test_events_can_schedule_events(self):
-        sched = EventScheduler()
-        seen = []
-
-        def first():
-            seen.append("first")
-            sched.schedule_in(1.0, lambda: seen.append("second"))
-
-        sched.schedule_at(0.0, first)
-        sched.run()
-        assert seen == ["first", "second"]
