@@ -25,9 +25,8 @@ draw sits in the lane's sequential stream position — after priming,
 before the first transfer draw — so the lockstep mesh engine
 (:mod:`repro.routing.ensemble`) stays bit-identical to the sequential
 path: dynamics only *modulates* delivery probabilities, it never changes
-how many uniforms a phase consumes or in which order.  Stacked cross-lane
-evolution (:func:`evolve_states` over a leading lane axis) is
-comparison-only, so it is bit-identical to evolving each lane alone.
+how many uniforms a phase consumes or in which order.  The scan uses
+comparisons and boolean logic only, so it is exact.
 
 A transfer's *slot clock* is its transmission counter: the ``k``-th
 transmission of a lane reads the trajectory at slot ``k`` (modulo the
@@ -125,23 +124,35 @@ class GilbertElliott:
         """Evolve bad/good states from pre-drawn uniforms (``True`` = bad).
 
         ``uniforms`` has shape ``(..., n_slots, n_links)``; leading axes
-        (e.g. a lane axis) evolve independently, so stacking lanes and
-        evolving once is bit-identical to evolving each lane alone — the
-        operations are pure comparisons.  Slot 0 samples the stationary
-        distribution (the chain starts in equilibrium); slot ``t`` applies
-        the transition probabilities to slot ``t - 1``.
+        (e.g. a lane axis) evolve independently.  Slot 0 samples the
+        stationary distribution (the chain starts in equilibrium); slot
+        ``t`` applies the transition probabilities to slot ``t - 1``.
+
+        Each slot is the boolean map ``s_t = (s_{t-1} & keep_t) ^ set_t``
+        with ``set = u < p_good_to_bad`` and ``keep = set != (u >=
+        p_bad_to_good)``.  Maps compose associatively — ``(k1, s1)`` then
+        ``(k2, s2)`` is ``(k1 & k2, (s1 & k2) ^ s2)`` — so a doubling
+        (Hillis–Steele) scan of ``ceil(log2 n_slots)`` whole-array passes
+        composes every slot's prefix.  Slot 0's ``set`` is ``u <`` the
+        stationary fraction, and the state at slot ``t`` is the ``set`` of
+        the composed map of slots ``0..t`` (that map applied to a good state
+        before slot 0).  Comparisons and boolean logic only: the states
+        equal the per-slot recurrence exactly.
         """
         u = np.asarray(uniforms, dtype=np.float64)
         if u.ndim < 2:
             raise ValueError("uniforms must have shape (..., n_slots, n_links)")
-        states = np.empty(u.shape, dtype=bool)
+        states = u < self.p_good_to_bad
+        keep = states != (u >= self.p_bad_to_good)
         states[..., 0, :] = u[..., 0, :] < self.stationary_bad_fraction()
-        for t in range(1, u.shape[-2]):
-            previous = states[..., t - 1, :]
-            draw = u[..., t, :]
-            states[..., t, :] = np.where(
-                previous, draw >= self.p_bad_to_good, draw < self.p_good_to_bad
-            )
+        span = 1
+        while span < u.shape[-2]:
+            # Slot t absorbs the composed map of slot t - span; slots before
+            # `span` already hold final states (their prefix reaches slot 0).
+            early, late = np.s_[..., :-span, :], np.s_[..., span:, :]
+            states[late] ^= states[early] & keep[late]
+            keep[late] &= keep[early]
+            span *= 2
         return states
 
 
@@ -280,13 +291,12 @@ def trajectory_from_uniforms(
     rate_mbps: float,
     uniforms: np.ndarray | None,
 ) -> LinkStateTrajectory:
-    """Build a lane's trajectory from its pre-drawn (or evolved) uniforms.
+    """Build a lane's trajectory from its pre-drawn uniforms.
 
     ``uniforms`` is the block :meth:`LinkDynamics.draw_state_uniforms`
-    returned for this lane — or, on the stacked lockstep path, the lane's
-    slice of a cross-lane :meth:`GilbertElliott.evolve_states` batch
-    passed through unchanged (pass the evolved boolean states via
-    :func:`trajectory_from_states` instead in that case).
+    returned for this lane (``None`` for grid-only specs); it is evolved
+    by :meth:`GilbertElliott.evolve_states` and assembled by
+    :func:`trajectory_from_states`.
     """
     states = None
     if dynamics.gilbert_elliott is not None:
@@ -305,19 +315,23 @@ def trajectory_from_states(
     """Assemble the dense multiplier cube from evolved boolean states.
 
     ``states`` has shape ``(horizon_slots, n_links)`` in canonical
-    :func:`link_order` (``None`` for grid-only specs).  The grid factor is
-    a scalar per lane (every link transmits at the lane's rate), applied
-    after the state multipliers — multiplication order is fixed so the
-    sequential and stacked paths produce identical floats.
+    :func:`link_order` (``None`` for grid-only specs).  That order is the
+    row-major order of the off-diagonal cells of the dense node-index
+    matrix, so all links land in one masked store.  The grid factor is a
+    scalar per lane (every link transmits at the lane's rate), applied
+    after the state multipliers in a fixed multiplication order.
     """
     n_nodes = len(node_ids)
     index = {node: k for k, node in enumerate(node_ids)}
-    cube = np.ones((dynamics.horizon_slots, n_nodes, n_nodes), dtype=np.float64)
-    if states is not None:
+    shape = (dynamics.horizon_slots, n_nodes, n_nodes)
+    if states is None:
+        cube = np.ones(shape, dtype=np.float64)
+    else:
         process = dynamics.gilbert_elliott
-        flat = np.where(states, process.bad_multiplier, process.good_multiplier)
-        for column, (a, b) in enumerate(link_order(node_ids)):
-            cube[:, index[a], index[b]] = flat[:, column]
+        bad = np.zeros(shape, dtype=bool)
+        bad[:, ~np.eye(n_nodes, dtype=bool)] = states
+        cube = np.where(bad, process.bad_multiplier, process.good_multiplier)
+        cube.reshape(shape[0], n_nodes * n_nodes)[:, :: n_nodes + 1] = 1.0  # self links
     if dynamics.grid is not None:
         cube = cube * (1.0 - dynamics.grid.loss_rate_for(rate_mbps))
     return LinkStateTrajectory(

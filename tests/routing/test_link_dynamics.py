@@ -24,6 +24,7 @@ from repro.channel.dynamics import (
     LossRateGrid,
     link_order,
     materialise_trajectory,
+    trajectory_from_states,
 )
 from repro.experiments.fig18_opportunistic import random_relay_topology
 from repro.experiments.runner import run_sweep
@@ -88,7 +89,7 @@ class TestGilbertElliott:
         assert float(lengths.mean()) == pytest.approx(4.0, rel=0.1)
 
     def test_stacked_lanes_bit_identical_to_each_alone(self):
-        """The lockstep engine's cross-lane evolution is comparison-only."""
+        """Leading lane axes evolve independently of each other."""
         uniforms = np.random.default_rng(2).random((3, 200, 5))
         stacked = _GE.evolve_states(uniforms)
         for lane in range(3):
@@ -143,6 +144,27 @@ class TestTrajectory:
 
     def test_link_order_is_all_ordered_pairs(self):
         assert link_order([3, 5]) == [(3, 5), (5, 3)]
+
+    @pytest.mark.parametrize("grid", [None, LossRateGrid((6.0, 24.0), (0.02, 0.1))])
+    def test_cube_assembly_matches_a_per_link_build(self, grid):
+        """Non-contiguous node ids: every link column lands in its own cell."""
+        node_ids = [3, 5, 9, 11]
+        dynamics = LinkDynamics(gilbert_elliott=_GE, grid=grid, horizon_slots=8)
+        states = np.random.default_rng(4).random((8, len(link_order(node_ids)))) < 0.5
+        trajectory = trajectory_from_states(dynamics, node_ids, 12.0, states)
+
+        factor = 1.0 if grid is None else 1.0 - grid.loss_rate_for(12.0)
+        index = {node: k for k, node in enumerate(node_ids)}
+        expected = np.ones((8, 4, 4))
+        for column, (a, b) in enumerate(link_order(node_ids)):
+            expected[:, index[a], index[b]] = np.where(
+                states[:, column], _GE.bad_multiplier, _GE.good_multiplier
+            )
+        np.testing.assert_array_equal(trajectory.multipliers, expected * factor)
+        assert trajectory.node_index == index
+        for node in node_ids:
+            assert trajectory.pair_multiplier(5, node, node) == 1.0 * factor
+        assert trajectory.pair_multiplier(2, 9, 3) == expected[2, 2, 0] * factor
 
 
 def _close_pair_testbed(seed):
