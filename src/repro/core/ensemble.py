@@ -973,13 +973,12 @@ class _JointFrameLane(Lane):
 
     Frame ``r`` of every live session forms wave ``r``; the whole wave —
     header draws, lockstep cosender scheduling, ensemble combining at the
-    receiver — runs as one stacked pass in session order.  The batch API
-    predates ``after=`` chaining and never validated generator sharing, so
-    chain enforcement stays off.
+    receiver — runs as one stacked pass in session order.  Sessions must
+    own distinct generators: a stacked wave would interleave the draws of
+    two sessions sharing one, so the scheduler rejects such a batch.
     """
 
     stacked = True
-    enforce_generator_chains = False
 
     def __init__(
         self,

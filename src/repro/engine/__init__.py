@@ -16,7 +16,6 @@ from repro.engine.lane import Lane
 from repro.engine.scheduler import (
     LockstepScheduler,
     chunk_bounds,
-    resolve_chains,
     run_chunks,
     run_seed_chunks,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "Lane",
     "LockstepScheduler",
     "chunk_bounds",
-    "resolve_chains",
     "run_chunks",
     "run_seed_chunks",
 ]

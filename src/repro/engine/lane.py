@@ -7,7 +7,10 @@ many others.  The engines that used to reimplement this contract privately
 (:mod:`repro.experiments.batch`, :mod:`repro.core.ensemble`,
 :mod:`repro.routing.ensemble`) now all express their work as subclasses of
 :class:`Lane` and delegate scheduling, chain resolution and sharding to
-the scheduler.
+the scheduler.  Work whose draws cannot stack across lanes is not a lane:
+the single-path and link-local retry loops stop at the first acknowledged
+attempt, so their ensembles are plain loops over the sequential
+simulators.
 
 The contract every subclass must honour:
 
@@ -16,9 +19,7 @@ The contract every subclass must honour:
   simulation would make them.  Two lanes may share one generator only
   when *chained* (``after=``): the successor performs no draw until its
   predecessor has fully finished, so the shared stream is consumed in
-  sequential order.  Classes whose lanes always run to completion in
-  input order (so unchained sharing is naturally sequential) may opt out
-  of chain enforcement with ``enforce_generator_chains = False``.
+  sequential order; the scheduler rejects ensembles that break the rule.
 * **Lifecycle** — the scheduler drives each lane through
   ``prime -> setup -> advance* -> result``: :meth:`prime` performs any
   pre-setup priming draws (batched across root lanes via
@@ -56,11 +57,6 @@ class Lane:
     #: per lane (with immediate finish processing between lanes).
     stacked: bool = False
 
-    #: When False, the scheduler skips the shared-generator chaining check
-    #: for ensembles made solely of such lanes (their execution is
-    #: naturally sequential, so unchained sharing cannot reorder draws).
-    enforce_generator_chains: bool = True
-
     #: The generator this lane owns; every draw of the lane comes from it.
     rng: np.random.Generator
 
@@ -91,8 +87,7 @@ class Lane:
     def setup(self) -> None:
         """Build execution state and run the lane's opening phase.
 
-        May draw, and may complete the lane outright (run-to-completion
-        lanes do all their work here); the scheduler checks
+        May draw, and may complete the lane outright; the scheduler checks
         :attr:`finished` immediately afterwards.  Default: nothing.
         """
 

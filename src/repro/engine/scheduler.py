@@ -41,9 +41,7 @@ __all__ = [
 ]
 
 
-def resolve_chains(
-    lanes: list, enforce_generator_chains: bool = True
-) -> tuple[list[int | None], list[list[int]]]:
+def resolve_chains(lanes: list) -> tuple[list[int | None], list[list[int]]]:
     """Validate lane chaining and generator sharing for one ensemble call.
 
     Returns ``(after, successors)`` where ``after[i]`` is the index of the
@@ -51,10 +49,7 @@ def resolve_chains(
     ``successors[j]`` lists the lanes to start when lane ``j`` finishes.
     Lanes that share a generator must form one chain in input order —
     anything else would let the lockstep schedule interleave draws from a
-    single stream and silently diverge from the sequential path.  Engines
-    whose lanes run to completion in input order may pass
-    ``enforce_generator_chains=False`` to skip the sharing check (their
-    execution order makes unchained sharing naturally sequential).
+    single stream and silently diverge from the sequential path.
     """
     index_of = {id(lane): i for i, lane in enumerate(lanes)}
     after: list[int | None] = []
@@ -68,19 +63,18 @@ def resolve_chains(
             raise ValueError("lane.after must reference another lane of the same ensemble call")
         after.append(predecessor)
         successors[predecessor].append(i)
-    if enforce_generator_chains:
-        by_rng: dict[int, list[int]] = {}
-        for i, lane in enumerate(lanes):
-            by_rng.setdefault(id(lane.rng), []).append(i)
-        for rows in by_rng.values():
-            for previous, current in zip(rows, rows[1:]):
-                if after[current] != previous:
-                    raise ValueError(
-                        "lockstep lanes that share a generator must be chained in "
-                        "input order (each lane's `after` pointing at the previous "
-                        "lane on that generator); unrelated lanes need distinct "
-                        "generators"
-                    )
+    by_rng: dict[int, list[int]] = {}
+    for i, lane in enumerate(lanes):
+        by_rng.setdefault(id(lane.rng), []).append(i)
+    for rows in by_rng.values():
+        for previous, current in zip(rows, rows[1:]):
+            if after[current] != previous:
+                raise ValueError(
+                    "lockstep lanes that share a generator must be chained in "
+                    "input order (each lane's `after` pointing at the previous "
+                    "lane on that generator); unrelated lanes need distinct "
+                    "generators"
+                )
     return after, successors
 
 
@@ -98,8 +92,7 @@ class LockstepScheduler:
         """Run every lane to completion; results come back in input order."""
         if not lanes:
             return []
-        enforce = all(lane.enforce_generator_chains for lane in lanes)
-        after, successors = resolve_chains(lanes, enforce_generator_chains=enforce)
+        after, successors = resolve_chains(lanes)
         results: list = [None] * len(lanes)
         live: list[int] = []
 

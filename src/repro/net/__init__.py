@@ -2,6 +2,7 @@
 
 from repro.net.etx import (
     best_route,
+    cached_route,
     etx_graph,
     etx_to_destination,
     forwarder_order,
@@ -21,6 +22,7 @@ __all__ = [
     "etx_graph",
     "path_etx",
     "best_route",
+    "cached_route",
     "etx_to_destination",
     "forwarder_order",
 ]

@@ -19,6 +19,7 @@ __all__ = [
     "etx_graph",
     "path_etx",
     "best_route",
+    "cached_route",
     "etx_to_destination",
     "forwarder_order",
 ]
@@ -95,6 +96,24 @@ def best_route(graph: nx.DiGraph, src: int, dst: int) -> list[int] | None:
         return nx.shortest_path(graph, src, dst, weight="etx")
     except (nx.NetworkXNoPath, nx.NodeNotFound):
         return None
+
+
+def cached_route(
+    testbed: Testbed, src: int, dst: int, probe_rate_mbps: float, probe_bytes: int
+) -> tuple[int, ...]:
+    """Minimum-ETX route over the testbed's ETX graph, memoised on the testbed.
+
+    Returns the route as a tuple, or ``()`` when ``src`` cannot reach
+    ``dst``.  Like :func:`etx_graph`, the route is static for the
+    testbed's lifetime, so every transfer between one pair reuses it.
+    """
+    key = ("best_route", probe_rate_mbps, probe_bytes, src, dst)
+    route = testbed._routing_cache.get(key)
+    if route is None:
+        graph = etx_graph(testbed, probe_rate_mbps=probe_rate_mbps, probe_bytes=probe_bytes)
+        route = tuple(best_route(graph, src, dst) or ())
+        testbed._routing_cache[key] = route
+    return route
 
 
 def etx_to_destination(graph: nx.DiGraph, dst: int) -> dict[int, float]:

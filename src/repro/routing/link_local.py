@@ -16,25 +16,30 @@ long bursts the local budget exhausts into the (expensive) end-to-end
 path — exactly the ARQ-vs-diversity tradeoff the ``fig20_link_dynamics``
 experiment quantifies against ExOR+SourceSync.
 
-Determinism: one scalar uniform per transmission attempt, in packet →
-end-to-end attempt → hop → local-retry order; the backoff is a pure
-function of the attempt index (no RNG).  The lockstep engine counterpart
-(:func:`repro.routing.ensemble.simulate_link_local_ensemble`) pre-draws
-an upper-bound block and rewinds, consuming the identical stream — both
-paths share :func:`_transfer` so the arithmetic is common by
-construction.
+Single-path routing (:mod:`repro.routing.single_path`) is this scheme with
+a zero recovery budget beyond the hop's own retries — no end-to-end
+restart and no timeout — so :func:`_transfer` is the one per-attempt loop
+of every route-following scheme.
+
+Determinism: one uniform per transmission attempt, in packet → end-to-end
+attempt → hop → local-retry order; the backoff is a pure function of the
+attempt index (no RNG).  The retry structure is feedback-bound, so
+:func:`_transfer` draws an upper-bound block, consumes it in that order,
+and rewinds the generator to advance it by exactly the consumed count:
+every attempt sees the uniform a scalar per-attempt draw would give it,
+and the generator ends where such a loop would leave it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.channel.dynamics import LinkDynamics, LinkStateTrajectory, materialise_trajectory
-from repro.net.etx import best_route, etx_graph
-from repro.net.mac import CsmaState, MacTiming
+from repro.net.etx import cached_route
+from repro.net.mac import MacTiming
 from repro.net.topology import Testbed
 from repro.phy.rates import Rate, rate_for_mbps
 from repro.rng import require_rng
@@ -110,45 +115,52 @@ class LinkLocalResult:
 
 
 def _transfer(
-    hop_pairs: Sequence[tuple[int, int]],
+    route: tuple[int, ...],
     hop_probs: Sequence[float],
     n_packets: int,
     config: LinkLocalConfig,
     trajectory: LinkStateTrajectory | None,
     per_attempt_us: float,
-    next_uniform: Callable[[], float],
-    mac: CsmaState,
-) -> tuple[int, int, int]:
-    """Run the transfer loop against a uniform supplier; fills ``mac``.
+    rng: np.random.Generator,
+) -> LinkLocalResult:
+    """Run the per-attempt transfer loop over ``route`` on ``rng``.
 
-    Shared by the sequential simulator (``next_uniform`` draws from the
-    generator) and the lockstep ensemble (``next_uniform`` replays a
-    pre-drawn block): one scalar uniform per attempt either way, so both
-    paths consume the identical stream and compute identical floats.
-    Returns ``(delivered, local_retransmissions, e2e_retries)``.
+    Draws an upper-bound uniform block (``n_packets × e2e passes × hops ×
+    attempts per hop``) because the number of attempts is only known once
+    the loop ends, then restores the generator and re-draws exactly the
+    consumed count, so the stream advances as one scalar draw per attempt
+    would advance it.  Attempt ``i`` of the transfer compares ``block[i]``
+    against its hop probability, scaled by the link state of slot ``i``.
     """
+    hops = list(zip(route[:-1], route[1:], hop_probs))
+    attempts_per_hop = range(config.attempts_per_hop)
+    e2e_passes = range(config.e2e_passes)
+    bound = n_packets * len(e2e_passes) * len(hops) * len(attempts_per_hop)
+    snapshot = rng.bit_generator.state
+    block = rng.random(bound).tolist()
+    attempts = 0
     timeout_us = config.timeout_fraction * per_attempt_us
+    elapsed_us = 0.0
     delivered = local_retransmissions = e2e_retries = 0
     for _ in range(n_packets):
         arrived = False
-        for e2e_pass in range(config.e2e_passes):
+        for e2e_pass in e2e_passes:
             route_ok = True
-            for (hop_src, hop_dst), prob in zip(hop_pairs, hop_probs):
+            for hop_src, hop_dst, prob in hops:
                 hop_ok = False
-                for local_try in range(config.attempts_per_hop):
+                for local_try in attempts_per_hop:
                     if local_try > 0:
                         # Deterministic timeout/backoff before each local
                         # retransmission, charged in airtime units.
-                        mac.elapsed_us += timeout_us * config.backoff_factor ** (local_try - 1)
+                        elapsed_us += timeout_us * config.backoff_factor ** (local_try - 1)
                         local_retransmissions += 1
                     if trajectory is None:
                         effective = prob
                     else:
-                        effective = prob * trajectory.pair_multiplier(
-                            mac.transmissions, hop_src, hop_dst
-                        )
-                    got_through = next_uniform() < effective
-                    mac.account(per_attempt_us, got_through)
+                        effective = prob * trajectory.pair_multiplier(attempts, hop_src, hop_dst)
+                    got_through = block[attempts] < effective
+                    attempts += 1
+                    elapsed_us += per_attempt_us
                     if got_through:
                         hop_ok = True
                         break
@@ -164,7 +176,20 @@ def _transfer(
                 e2e_retries += 1
         if arrived:
             delivered += 1
-    return delivered, local_retransmissions, e2e_retries
+    rng.bit_generator.state = snapshot
+    if attempts:
+        rng.random(attempts)
+    delivered_bits = delivered * config.payload_bytes * 8
+    return LinkLocalResult(
+        throughput_mbps=delivered_bits / elapsed_us if elapsed_us > 0 else 0.0,
+        delivered_packets=delivered,
+        total_packets=n_packets,
+        transmissions=attempts,
+        local_retransmissions=local_retransmissions,
+        e2e_retries=e2e_retries,
+        route=route,
+        elapsed_us=elapsed_us,
+    )
 
 
 def simulate_link_local(
@@ -186,43 +211,28 @@ def simulate_link_local(
     ``config.e2e_retry_limit`` times.  With ``config.dynamics`` set, the
     link-state trajectory is one upfront draw from ``rng`` (after routing,
     before the first attempt) and every hop probability is modulated by
-    the current slot's multiplier.
+    the current slot's multiplier.  Raises ``ValueError`` when
+    ``n_packets`` is negative.
     """
+    if n_packets < 0:
+        raise ValueError("n_packets must be >= 0")
     config = config if config is not None else LinkLocalConfig()
     rng = require_rng(rng, "simulate_link_local")
     timing = timing if timing is not None else MacTiming(params=testbed.params)
     rate: Rate = rate_for_mbps(rate_mbps)
 
-    graph = etx_graph(
-        testbed, probe_rate_mbps=config.probe_rate_mbps, probe_bytes=config.payload_bytes
-    )
-    route = best_route(graph, src, dst)
-    if route is None or len(route) < 2:
-        return LinkLocalResult(0.0, 0, n_packets, 0, 0, 0, tuple(route or ()))
+    route = cached_route(testbed, src, dst, config.probe_rate_mbps, config.payload_bytes)
+    if len(route) < 2:
+        return LinkLocalResult(0.0, 0, n_packets, 0, 0, 0, route)
     trajectory = None
     if config.dynamics is not None:
         trajectory = materialise_trajectory(
             config.dynamics, testbed.node_ids, rate_mbps, rng
         )
 
-    hop_pairs = list(zip(route[:-1], route[1:]))
     hop_probs = [
-        testbed._delivery_prob(a, b, rate, config.payload_bytes) for a, b in hop_pairs
+        testbed._delivery_prob(a, b, rate, config.payload_bytes)
+        for a, b in zip(route[:-1], route[1:])
     ]
     per_attempt_us = timing.single_transaction_us(config.payload_bytes, rate)
-    mac = CsmaState()
-    delivered, local_retransmissions, e2e_retries = _transfer(
-        hop_pairs, hop_probs, n_packets, config, trajectory, per_attempt_us,
-        rng.random, mac,
-    )
-    throughput = mac.throughput_mbps(delivered * config.payload_bytes * 8)
-    return LinkLocalResult(
-        throughput_mbps=throughput,
-        delivered_packets=delivered,
-        total_packets=n_packets,
-        transmissions=mac.transmissions,
-        local_retransmissions=local_retransmissions,
-        e2e_retries=e2e_retries,
-        route=tuple(route),
-        elapsed_us=mac.elapsed_us,
-    )
+    return _transfer(route, hop_probs, n_packets, config, trajectory, per_attempt_us, rng)

@@ -2,13 +2,15 @@
 
 The flows-as-lanes contract
 ---------------------------
-A workload (:mod:`repro.traffic.workload`) is served by turning every flow
-into a lane set on the lockstep mesh engine
-(:mod:`repro.routing.ensemble`): one :class:`~repro.routing.ensemble.ExorLane`
-per (flow, scheme), with a flow's dependent schemes chained via ``after=``
-so they share the flow's service stream in canonical order — single path,
-then ExOR, then ExOR+SourceSync, then link-local recovery
-(:mod:`repro.routing.link_local`).  Lanes are handed to the engine in
+A workload (:mod:`repro.traffic.workload`) is served scheme by scheme,
+every scheme consuming the flow's service stream in canonical order —
+single path, then ExOR, then ExOR+SourceSync, then link-local recovery
+(:mod:`repro.routing.link_local`).  The two ExOR schemes become a lane set
+on the lockstep mesh engine (:mod:`repro.routing.ensemble`): one
+:class:`~repro.routing.ensemble.ExorLane` per (flow, scheme), with a
+flow's SourceSync lane chained behind its ExOR lane via ``after=``.  The
+route-following schemes (single path, link-local) have feedback-bound
+retry loops and run flow by flow on every path.  Flows are served in
 **arrival order** (the workload's start times order the lane set) and the
 engine advances only the lanes still active each lockstep round; a flow's
 measured ``elapsed_us`` is its *service time* — the medium time its
@@ -49,8 +51,7 @@ from repro.routing.ensemble import (
 )
 from repro.routing.exor import ExorConfig, simulate_exor
 from repro.routing.exor_sourcesync import simulate_exor_sourcesync
-from repro.routing.link_local import LinkLocalConfig, simulate_link_local
-from repro.routing.single_path import simulate_single_path
+from repro.routing.link_local import LinkLocalConfig
 from repro.traffic.workload import TrafficWorkload, flow_service_seed
 
 __all__ = [
@@ -184,63 +185,27 @@ def _service_chunk(
         dynamics=dynamics,
     )
     rngs = [np.random.default_rng(flow_service_seed(seed, index)) for index, _, _, _ in rows]
-
-    if not lockstep:
-        services: list[tuple[FlowService, ...]] = []
-        for (index, sender, _, size), rng in zip(rows, rngs):
-            config = replace(base, batch_size=size)
-            per_flow: list[FlowService] = []
-            if "single_path" in schemes:
-                single = simulate_single_path(
-                    testbed, sender, dst, rate_mbps,
-                    n_packets=size, payload_bytes=payload_bytes, rng=rng,
-                    dynamics=dynamics,
-                )
-                per_flow.append(
-                    FlowService(index, "single_path", single.elapsed_us,
-                                single.delivered_packets, size, single.transmissions)
-                )
-            if "exor" in schemes:
-                exor = simulate_exor(
-                    testbed, sender, dst, rate_mbps, relays_for[sender],
-                    config=config, rng=rng,
-                )
-                per_flow.append(
-                    FlowService(index, "exor", exor.elapsed_us,
-                                exor.delivered_packets, size, exor.transmissions)
-                )
-            if "sourcesync" in schemes:
-                joint = simulate_exor_sourcesync(
-                    testbed, sender, dst, rate_mbps, relays_for[sender],
-                    config=config, rng=rng,
-                )
-                per_flow.append(
-                    FlowService(index, "sourcesync", joint.elapsed_us,
-                                joint.delivered_packets, size, joint.transmissions)
-                )
-            if "link_local" in schemes:
-                local = simulate_link_local(
-                    testbed, sender, dst, rate_mbps,
-                    n_packets=size, config=ll_config, rng=rng,
-                )
-                per_flow.append(
-                    FlowService(index, "link_local", local.elapsed_us,
-                                local.delivered_packets, size, local.transmissions)
-                )
-            services.append(tuple(per_flow))
-        return services
-
-    # Lockstep path.  Lanes enter the engine in arrival order — the
-    # workload's start times order the lane set — and only active lanes
-    # advance each round; per-flow streams make the ordering cosmetic
-    # (results are keyed back to flow position afterwards).
+    # Flows are served in arrival order — the workload's start times order
+    # the lane set; per-flow streams make the ordering cosmetic (results
+    # are keyed back to flow position).
     order = sorted(range(len(rows)), key=lambda k: (rows[k][2], rows[k][0]))
-    prime_testbeds_lockstep([testbed], base.probe_rate_mbps, payload_bytes)
-    # Probe priming materialised every pair's fading profile, so the
-    # data-rate pass consumes no generator draws.
-    prime_testbeds_lockstep([testbed], rate_mbps, payload_bytes)
-
     per_flow_services: list[dict[str, FlowService]] = [{} for _ in rows]
+
+    def record(k: int, scheme: str, result) -> None:
+        index, _, _, size = rows[k]
+        per_flow_services[k][scheme] = FlowService(
+            index, scheme, result.elapsed_us,
+            result.delivered_packets, size, result.transmissions,
+        )
+
+    if lockstep:
+        prime_testbeds_lockstep([testbed], base.probe_rate_mbps, payload_bytes)
+        # Probe priming materialised every pair's fading profile, so the
+        # data-rate pass consumes no generator draws.
+        prime_testbeds_lockstep([testbed], rate_mbps, payload_bytes)
+    # The route-following schemes take one path for both values of
+    # ``lockstep``: their retry loops are feedback-bound, so their
+    # ensembles run flow by flow.
     if "single_path" in schemes:
         single_lanes = [
             ExorLane(
@@ -250,14 +215,26 @@ def _service_chunk(
             for k in order
         ]
         for k, result in zip(order, simulate_single_path_ensemble(single_lanes)):
-            index, _, _, size = rows[k]
-            per_flow_services[k]["single_path"] = FlowService(
-                index, "single_path", result.elapsed_us,
-                result.delivered_packets, size, result.transmissions,
-            )
+            record(k, "single_path", result)
     want_exor = "exor" in schemes
     want_joint = "sourcesync" in schemes
-    if want_exor or want_joint:
+    if (want_exor or want_joint) and not lockstep:
+        for k in order:
+            _, sender, _, size = rows[k]
+            config = replace(base, batch_size=size)
+            if want_exor:
+                record(k, "exor", simulate_exor(
+                    testbed, sender, dst, rate_mbps, relays_for[sender],
+                    config=config, rng=rngs[k],
+                ))
+            if want_joint:
+                record(k, "sourcesync", simulate_exor_sourcesync(
+                    testbed, sender, dst, rate_mbps, relays_for[sender],
+                    config=config, rng=rngs[k],
+                ))
+    elif want_exor or want_joint:
+        # Only active lanes advance each lockstep round; a flow's
+        # SourceSync lane chains behind its ExOR lane on the flow's stream.
         lanes: list[ExorLane] = []
         placement: list[tuple[int, str]] = []
         for k in order:
@@ -279,24 +256,14 @@ def _service_chunk(
                 )
                 placement.append((k, "sourcesync"))
         for (k, scheme), result in zip(placement, simulate_exor_ensemble(lanes)):
-            index, _, _, size = rows[k]
-            per_flow_services[k][scheme] = FlowService(
-                index, scheme, result.elapsed_us,
-                result.delivered_packets, size, result.transmissions,
-            )
+            record(k, scheme, result)
     if "link_local" in schemes:
         local_lanes = [
-            LinkLocalLane(
-                testbed, rows[k][1], dst, rate_mbps, rows[k][3], ll_config, rngs[k]
-            )
+            LinkLocalLane(testbed, rows[k][1], dst, rate_mbps, rows[k][3], ll_config, rngs[k])
             for k in order
         ]
         for k, result in zip(order, simulate_link_local_ensemble(local_lanes)):
-            index, _, _, size = rows[k]
-            per_flow_services[k]["link_local"] = FlowService(
-                index, "link_local", result.elapsed_us,
-                result.delivered_packets, size, result.transmissions,
-            )
+            record(k, "link_local", result)
     return [
         tuple(flow_services[scheme] for scheme in schemes)
         for flow_services in per_flow_services

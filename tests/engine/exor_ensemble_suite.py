@@ -22,7 +22,7 @@ from repro.routing.ensemble import (
 )
 from repro.routing.exor import ExorConfig, simulate_exor
 from repro.routing.exor_sourcesync import simulate_exor_sourcesync
-from repro.routing.single_path import simulate_single_path
+from tests.engine.transfer_oracles import single_path_scalar
 
 
 def _spawned(n, seed):
@@ -271,7 +271,7 @@ class TestHeterogeneousLanes:
         """Mixed batch sizes through the single-path ensemble."""
         sizes = [5, 14, 9]
         sequential = [
-            simulate_single_path(tb, 0, 1, 6.0, n_packets=n, rng=rng)
+            single_path_scalar(tb, 0, 1, 6.0, n_packets=n, rng=rng)
             for (tb, rng), n in zip(_relay_testbeds(3, seed=95), sizes)
         ]
         batched = simulate_single_path_ensemble(
@@ -291,7 +291,7 @@ class TestSinglePathEnsembleEquivalence:
         tails = []
         for tb, rng in _relay_testbeds(5, seed=21):
             sequential.append(
-                simulate_single_path(tb, 0, 1, 6.0, n_packets=9, rng=rng)
+                single_path_scalar(tb, 0, 1, 6.0, n_packets=9, rng=rng)
             )
             tails.append(rng.random(4).tolist())  # downstream draws must match too
         pairs = _relay_testbeds(5, seed=21)
@@ -315,6 +315,6 @@ class TestSinglePathEnsembleEquivalence:
         assert result.delivered_packets == 0
         rng2 = np.random.default_rng(3)
         testbed2 = Testbed.from_positions([(0, 0), (5000, 0)], rng=rng2)
-        expected = simulate_single_path(testbed2, 0, 1, 6.0, n_packets=5, rng=rng2)
+        expected = single_path_scalar(testbed2, 0, 1, 6.0, n_packets=5, rng=rng2)
         assert result == expected
         assert rng.random() == rng2.random()

@@ -165,6 +165,19 @@ class TestJointBatchFrames:
                 )
         assert _rng_states_match(seq, bat)
 
+    def test_sessions_sharing_a_generator_rejected(self):
+        """A stacked frame wave would interleave two sessions' draws on one stream."""
+        rng = np.random.default_rng(5)
+        sessions = []
+        for _ in range(2):
+            topo = JointTopology.from_snrs(
+                rng, lead_rx_snr_db=20.0, cosender_rx_snr_db=[20.0], lead_cosender_snr_db=[25.0]
+            )
+            sessions.append(SourceSyncSession(topo, SourceSyncConfig(), rng=rng))
+        jobs = [[ens.JointFrameJob(b"\x5a" * 24, genie_timing=True)] for _ in sessions]
+        with pytest.raises(ValueError, match="share a generator"):
+            ens.run_joint_frames_batch(sessions, jobs)
+
     def test_joint_batch_detection_mode_matches_sequential(self):
         seq = _make_sessions([77], snr_db=20.0, lead_cosender_snr_db=25.0)
         bat = _make_sessions([77], snr_db=20.0, lead_cosender_snr_db=25.0)

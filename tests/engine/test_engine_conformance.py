@@ -220,24 +220,33 @@ register(LaneCase(
 
 
 # ----------------------------------------------------------------------
-# Single-path baseline (repro.routing.ensemble)
+# Route-following schemes (repro.routing.ensemble): single path and
+# link-local recovery, against the scalar per-attempt oracles
 # ----------------------------------------------------------------------
+def _with_tails(results, lanes):
+    """Results plus every lane generator's next draws (its end state)."""
+    return results, [lane.rng.random(4).tolist() for lane in lanes]
+
+
 def _single_path_lockstep():
     from repro.routing.ensemble import simulate_single_path_ensemble
 
-    return simulate_single_path_ensemble(_exor_lanes((21, 22)))
+    lanes = _exor_lanes((21, 22))
+    return _with_tails(simulate_single_path_ensemble(lanes), lanes)
 
 
 def _single_path_sequential():
-    from repro.routing.single_path import simulate_single_path
+    from tests.engine.transfer_oracles import single_path_scalar
 
-    return [
-        simulate_single_path(
+    lanes = _exor_lanes((21, 22))
+    results = [
+        single_path_scalar(
             lane.testbed, lane.src, lane.dst, lane.rate_mbps,
             n_packets=lane.config.batch_size, rng=lane.rng,
         )
-        for lane in _exor_lanes((21, 22))
+        for lane in lanes
     ]
+    return _with_tails(results, lanes)
 
 
 def _single_path_empty():
@@ -246,10 +255,11 @@ def _single_path_empty():
     assert simulate_single_path_ensemble([]) == []
 
 
-# No audit pair: the single-path lane pre-draws a bounded block and
-# rewinds, so its ledger legitimately records draws the sequential scalar
-# path never makes; equivalence is asserted on results (bit-identity) and
-# the engine's own stream is pinned by the ledger fixtures.
+# No audit pair: production draws one upper-bound uniform block per
+# transfer and re-draws the consumed prefix, while the oracle makes one
+# scalar draw per attempt, so the recorded value streams differ by
+# construction.  The generator's end state is compared instead (the
+# tails above).
 register(LaneCase(
     name="single_path",
     lockstep=_single_path_lockstep,
@@ -258,9 +268,6 @@ register(LaneCase(
 ))
 
 
-# ----------------------------------------------------------------------
-# Link-local recovery (repro.routing.ensemble)
-# ----------------------------------------------------------------------
 def _link_local_lanes(seeds=(31, 32)):
     from repro.experiments.fig18_opportunistic import random_relay_topology
     from repro.routing.ensemble import LinkLocalLane
@@ -277,19 +284,22 @@ def _link_local_lanes(seeds=(31, 32)):
 def _link_local_lockstep():
     from repro.routing.ensemble import simulate_link_local_ensemble
 
-    return simulate_link_local_ensemble(_link_local_lanes())
+    lanes = _link_local_lanes()
+    return _with_tails(simulate_link_local_ensemble(lanes), lanes)
 
 
 def _link_local_sequential():
-    from repro.routing.link_local import simulate_link_local
+    from tests.engine.transfer_oracles import link_local_scalar
 
-    return [
-        simulate_link_local(
+    lanes = _link_local_lanes()
+    results = [
+        link_local_scalar(
             lane.testbed, lane.src, lane.dst, lane.rate_mbps,
             n_packets=lane.n_packets, config=lane.config, rng=lane.rng,
         )
-        for lane in _link_local_lanes()
+        for lane in lanes
     ]
+    return _with_tails(results, lanes)
 
 
 def _link_local_empty():
@@ -298,9 +308,8 @@ def _link_local_empty():
     assert simulate_link_local_ensemble([]) == []
 
 
-# No audit pair: link-local lanes share single-path's pre-draw/rewind
-# trick (see above) — results are bit-identical but the recorded block
-# draw has no sequential counterpart.
+# No audit pair, for the single-path reason above: a block draw versus
+# scalar draws.
 register(LaneCase(
     name="link_local",
     lockstep=_link_local_lockstep,
@@ -364,11 +373,11 @@ register(LaneCase(
 # ----------------------------------------------------------------------
 # Traffic flows (repro.traffic.service)
 # ----------------------------------------------------------------------
-def _traffic_run(lockstep: bool, jobs: int = 1, chunk_flows: int = 0):
+def _traffic_run(lockstep: bool, jobs: int = 1, chunk_flows: int = 0, n_flows: int = 3):
     from repro.traffic import mice_elephants, poisson_workload, relay_mesh, simulate_flow_services
 
     mix = mice_elephants(mice_packets=1, elephant_packets=4, elephant_fraction=0.3)
-    workload = poisson_workload(3, 0.2, mix, 12.0, 256, seed=21)
+    workload = poisson_workload(n_flows, 0.2, mix, 12.0, 256, seed=21)
     return simulate_flow_services(
         workload, partial(relay_mesh, 17, n_relays=2), dst=1,
         lockstep=lockstep, jobs=jobs, chunk_flows=chunk_flows,
@@ -394,13 +403,14 @@ def _traffic_empty():
     assert services and all(flows == [] for flows in services.values())
 
 
-# No audit pair: the flow service runs single-path (pre-draw/rewind)
-# lanes among its schemes, so the global ledger differs by construction;
-# per-scheme results are asserted bit-identical above.
+# The audit serves one flow: the ledger concatenates draws across all
+# generators in call order, and multi-flow lockstep ExOR waves interleave
+# the flows' generators.
 register(LaneCase(
     name="traffic_flow",
     lockstep=partial(_traffic_run, True),
     sequential=partial(_traffic_run, False),
+    audit=(partial(_traffic_run, True, n_flows=1), partial(_traffic_run, False, n_flows=1)),
     empty=_traffic_empty,
     chunked=_traffic_chunked,
 ))

@@ -42,6 +42,7 @@ from repro.traffic import (
     relay_mesh,
     simulate_flow_services,
 )
+from tests.engine.transfer_oracles import link_local_scalar
 
 #: A bursty process deep enough that recovery schemes visibly diverge.
 _GE = GilbertElliott.from_burst(3.0, 0.25, bad_multiplier=0.1)
@@ -231,7 +232,8 @@ class TestLinkLocalRecovery:
         assert rng.random() == np.random.default_rng(7).random()
 
     def test_ensemble_bit_identical_to_sequential(self):
-        """Lockstep pre-draw/rewind replays the exact sequential stream."""
+        """The block draw with rewind replays the scalar per-attempt stream:
+        equal results, and every generator ends in the same state."""
         config = LinkLocalConfig(local_retry_limit=2, e2e_retry_limit=1, dynamics=_DYNAMICS)
 
         def testbeds(seed):
@@ -241,20 +243,19 @@ class TestLinkLocalRecovery:
             ]
             return [(random_relay_topology(rng), rng) for rng in rngs]
 
-        sequential = [
-            simulate_link_local(tb, 0, 1, 12.0, n_packets=15, config=config, rng=rng)
-            for tb, rng in testbeds(42)
-        ]
+        oracle, oracle_tails = [], []
+        for tb, rng in testbeds(42):
+            oracle.append(link_local_scalar(tb, 0, 1, 12.0, n_packets=15, config=config, rng=rng))
+            oracle_tails.append(rng.random(4).tolist())
+        pairs = testbeds(42)
         batched = simulate_link_local_ensemble(
-            [
-                LinkLocalLane(tb, 0, 1, 12.0, 15, config, rng)
-                for tb, rng in testbeds(42)
-            ]
+            [LinkLocalLane(tb, 0, 1, 12.0, 15, config, rng) for tb, rng in pairs]
         )
-        assert batched == sequential
+        assert batched == oracle
+        assert [rng.random(4).tolist() for _, rng in pairs] == oracle_tails
         # The scenario must exercise both recovery tiers somewhere.
-        assert any(r.local_retransmissions > 0 for r in sequential)
-        assert any(r.e2e_retries > 0 for r in sequential)
+        assert any(r.local_retransmissions > 0 for r in oracle)
+        assert any(r.e2e_retries > 0 for r in oracle)
 
 
 def _serve(workload, factory, **kwargs):
@@ -310,17 +311,17 @@ class TestDrawLedgerAudit:
         chunking-independent comparison ignores).  One flow keeps the audit
         meaningful: the ledger concatenates draws across *all* generators in
         call order, and multi-flow lockstep legitimately interleaves lanes.
+        All four schemes take part: the route-following ones run the same
+        code on both paths.
         """
         workload = poisson_workload(1, 0.2, _MIX, 12.0, 256, seed=33)
         factory = partial(relay_mesh, 17, n_relays=2)
         diff = compare_runs(
             lambda: simulate_flow_services(
-                workload, factory, dst=1, schemes=("exor", "sourcesync"),
-                lockstep=True, dynamics=_DYNAMICS,
+                workload, factory, dst=1, lockstep=True, dynamics=_DYNAMICS,
             ),
             lambda: simulate_flow_services(
-                workload, factory, dst=1, schemes=("exor", "sourcesync"),
-                lockstep=False, dynamics=_DYNAMICS,
+                workload, factory, dst=1, lockstep=False, dynamics=_DYNAMICS,
             ),
         )
         assert diff.identical, diff.report()

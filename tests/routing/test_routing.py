@@ -7,10 +7,16 @@ from repro.net.topology import Testbed
 from repro.channel.propagation import PathLossModel
 from repro.routing import (
     ExorConfig,
+    ExorLane,
+    LinkLocalConfig,
+    LinkLocalLane,
     cp_increase_for_forwarders,
     simulate_exor,
     simulate_exor_sourcesync,
+    simulate_link_local,
+    simulate_link_local_ensemble,
     simulate_single_path,
+    simulate_single_path_ensemble,
 )
 
 
@@ -45,6 +51,42 @@ class TestSinglePath:
         testbed, rng = _mesh(4)
         result = simulate_single_path(testbed, 0, 1, 6.0, n_packets=10, rng=rng)
         assert 0.0 <= result.delivery_ratio <= 1.0
+
+
+class TestTransferInputValidation:
+    """Sequential simulators and their ensembles reject the same bad inputs."""
+
+    @pytest.mark.parametrize("retry_limit", [0, -1])
+    def test_single_path_retry_limit(self, retry_limit):
+        testbed, rng = _mesh(1)
+        with pytest.raises(ValueError, match="retry_limit"):
+            simulate_single_path(testbed, 0, 1, 6.0, n_packets=3, retry_limit=retry_limit, rng=rng)
+        lane = ExorLane(testbed, 0, 1, 6.0, [2, 3, 4], ExorConfig(batch_size=3), rng)
+        with pytest.raises(ValueError, match="retry_limit"):
+            simulate_single_path_ensemble([lane], retry_limit=retry_limit)
+
+    def test_single_path_negative_packets(self):
+        testbed, rng = _mesh(1)
+        with pytest.raises(ValueError, match="n_packets"):
+            simulate_single_path(testbed, 0, 1, 6.0, n_packets=-2, rng=rng)
+
+    def test_link_local_negative_packets(self):
+        testbed, rng = _mesh(1)
+        with pytest.raises(ValueError, match="n_packets"):
+            simulate_link_local(testbed, 0, 1, 6.0, n_packets=-2, rng=rng)
+        lane = LinkLocalLane(testbed, 0, 1, 6.0, -2, LinkLocalConfig(), rng)
+        with pytest.raises(ValueError, match="n_packets"):
+            simulate_link_local_ensemble([lane])
+
+    def test_rejection_consumes_no_entropy(self):
+        testbed, _ = _mesh(1)
+        rng = np.random.default_rng(9)
+        with pytest.raises(ValueError):
+            simulate_link_local(testbed, 0, 1, 6.0, n_packets=-1, rng=rng)
+        with pytest.raises(ValueError):
+            simulate_single_path(testbed, 0, 1, 6.0, retry_limit=0, rng=rng)
+        assert rng.random() == np.random.default_rng(9).random()
+        assert not testbed._routing_cache  # rejected before any routing work
 
 
 class TestExor:
