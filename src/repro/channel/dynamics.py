@@ -20,8 +20,11 @@ Determinism contract
 State trajectories are *materialised up front* from the owning lane's
 generator: one ``rng.random((horizon_slots, n_links))`` draw in the
 canonical all-pairs link order (:func:`link_order`), evolved by a pure
-scan into per-slot multipliers (:func:`trajectory_from_uniforms`).  The
-draw sits in the lane's sequential stream position — after priming,
+scan into a per-slot boolean state matrix (:func:`trajectory_from_uniforms`).
+A trajectory keeps only those states; its accessors look a link's
+multiplier up on read (good, bad or self-link value, each with the grid
+factor already applied), so no per-slot multiplier array is ever built.
+The draw sits in the lane's sequential stream position — after priming,
 before the first transfer draw — so the lockstep mesh engine
 (:mod:`repro.routing.ensemble`) stays bit-identical to the sequential
 path: dynamics only *modulates* delivery probabilities, it never changes
@@ -36,7 +39,9 @@ and the lockstep engine track identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import math
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -78,8 +83,10 @@ class GilbertElliott:
                 "transition probabilities must satisfy 0 <= p_good_to_bad <= 1 "
                 "and 0 < p_bad_to_good <= 1 (bad bursts must be able to end)"
             )
-        if self.good_multiplier < 0.0 or self.bad_multiplier < 0.0:
-            raise ValueError("state multipliers must be non-negative")
+        for name in ("good_multiplier", "bad_multiplier"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
     @classmethod
     def from_burst(
@@ -205,7 +212,10 @@ class LinkDynamics:
     horizon_slots: int = 512
 
     def __post_init__(self) -> None:
-        if self.horizon_slots < 1:
+        horizon = self.horizon_slots
+        if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)):
+            raise ValueError(f"horizon_slots must be an integer, got {horizon!r}")
+        if horizon < 1:
             raise ValueError("horizon_slots must be >= 1")
         if self.gilbert_elliott is None and self.grid is None:
             raise ValueError("LinkDynamics needs a Gilbert-Elliott process or a grid (or both)")
@@ -233,27 +243,87 @@ def link_order(node_ids: Sequence[int]) -> list[tuple[int, int]]:
     return [(a, b) for a in node_ids for b in node_ids if a != b]
 
 
+@functools.lru_cache(maxsize=None)
+def _link_columns(n_nodes: int) -> np.ndarray:
+    """Canonical link column of every dense node-index pair, ``-1`` on the diagonal.
+
+    Entry ``[i, j]`` is the :func:`link_order` column of link
+    ``node_ids[i] → node_ids[j]``: the row-major rank of cell ``(i, j)``
+    among the off-diagonal cells.  Memoised per node count and read-only,
+    because every trajectory of that size shares the one table.
+    """
+    table = np.full((n_nodes, n_nodes), -1, dtype=np.intp)
+    table[~np.eye(n_nodes, dtype=bool)] = np.arange(n_nodes * (n_nodes - 1))
+    table.setflags(write=False)
+    return table
+
+
 @dataclass(frozen=True, eq=False)
 class LinkStateTrajectory:
-    """Materialised per-slot delivery-probability multipliers of one lane.
+    """One lane's evolved link states, read as delivery-probability multipliers.
 
-    ``multipliers[slot, i, j]`` scales the delivery probability of
-    directed link ``i → j`` (dense node-index axes; self links stay 1) at
-    transmission slot ``slot``; slots wrap at ``horizon_slots``.  All
-    accessors are pure gathers plus an elementwise ``max`` for joint
-    senders — both execution paths (sequential and lockstep) call the
-    same methods, so modulated probabilities are bit-identical by
-    construction.
+    ``states[slot, column]`` is ``True`` when the directed link in
+    :func:`link_order` column ``column`` is bad at transmission slot
+    ``slot`` (``None`` for a grid-only spec: every link always good);
+    slots wrap at ``horizon_slots``.  The read-only array is the lane's
+    whole per-slot record.  A link's multiplier is ``bad`` or ``good``
+    according to its state and ``self_link`` for a node talking to itself;
+    the three values already include the lane's grid factor.  ``columns``
+    maps a node-index pair to its link column (the read-only table shared
+    by every trajectory with as many nodes).  All accessors are lookups
+    plus an elementwise ``max`` for joint senders — both execution paths
+    (sequential and lockstep) call the same methods, so modulated
+    probabilities are bit-identical by construction.
     """
 
     horizon_slots: int
     node_index: Mapping[int, int]
-    multipliers: np.ndarray
+    states: np.ndarray | None
+    good: float
+    bad: float
+    self_link: float
+    columns: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        n_nodes = len(self.node_index)
+        if self.states is not None:
+            shape = (self.horizon_slots, n_nodes * (n_nodes - 1))
+            if self.states.dtype != bool or self.states.shape != shape:
+                raise ValueError(
+                    f"states must be a bool array of shape {shape}, got "
+                    f"{self.states.dtype} {self.states.shape}"
+                )
+            states = self.states.view()
+            states.setflags(write=False)
+            object.__setattr__(self, "states", states)
+        object.__setattr__(self, "columns", _link_columns(n_nodes))
+
+    def _best(self, slot: int, rows: Sequence[int], cols: Sequence[int]) -> list[float]:
+        """Per node index in ``cols``, the largest multiplier over links from ``rows``.
+
+        ``slot`` is already wrapped.  Plain Python floats: most reads touch
+        one or a few cells, where numpy's per-call overhead would dominate.
+        """
+        states, columns = self.states, self.columns
+        best = []
+        for col in cols:
+            top = -math.inf
+            for row in rows:
+                if row == col:
+                    value = self.self_link
+                elif states is not None and states.item(slot, columns.item(row, col)):
+                    value = self.bad
+                else:
+                    value = self.good
+                if value > top:
+                    top = value
+            best.append(top)
+        return best
 
     def pair_multiplier(self, slot: int, src: int, dst: int) -> float:
         """Multiplier of link ``src → dst`` at transmission slot ``slot``."""
-        block = self.multipliers[slot % self.horizon_slots]
-        return float(block[self.node_index[src], self.node_index[dst]])
+        index = self.node_index
+        return self._best(slot % self.horizon_slots, (index[src],), (index[dst],))[0]
 
     def rows(self, start_slot: int, n_slots: int, src: int, receivers: Sequence[int]) -> np.ndarray:
         """Multiplier block for consecutive slots of one sender.
@@ -263,9 +333,16 @@ class LinkStateTrajectory:
         broadcast-phase shape (packet ``k`` of a wave transmits at slot
         ``start_slot + k``).
         """
-        slots = (start_slot + np.arange(n_slots)) % self.horizon_slots
-        cols = [self.node_index[node] for node in receivers]
-        return self.multipliers[slots][:, self.node_index[src], cols]
+        index = self.node_index
+        columns = self.columns[index[src], [index[node] for node in receivers]]
+        links = columns >= 0
+        block = np.full((n_slots, len(columns)), self.self_link)
+        bad = False
+        if self.states is not None:
+            slots = np.arange(start_slot, start_slot + n_slots) % self.horizon_slots
+            bad = self.states.take(slots, axis=0).take(columns[links], axis=1)
+        block[:, links] = np.where(bad, self.bad, self.good)
+        return block
 
     def receiver_multipliers(
         self, slot: int, senders: Sequence[int], receivers: Sequence[int]
@@ -277,12 +354,10 @@ class LinkStateTrajectory:
         diversity hedges bursts, which is exactly the robustness question
         the link-dynamics experiment quantifies.
         """
-        block = self.multipliers[slot % self.horizon_slots]
-        rows = [self.node_index[node] for node in senders]
-        cols = [self.node_index[node] for node in receivers]
-        if len(rows) == 1:
-            return block[rows[0], cols]
-        return block[np.ix_(rows, cols)].max(axis=0)
+        index = self.node_index
+        rows = [index[node] for node in senders]
+        cols = [index[node] for node in receivers]
+        return np.array(self._best(slot % self.horizon_slots, rows, cols))
 
 
 def trajectory_from_uniforms(
@@ -312,30 +387,31 @@ def trajectory_from_states(
     rate_mbps: float,
     states: np.ndarray | None,
 ) -> LinkStateTrajectory:
-    """Assemble the dense multiplier cube from evolved boolean states.
+    """Wrap evolved boolean states as a lane's trajectory.
 
     ``states`` has shape ``(horizon_slots, n_links)`` in canonical
-    :func:`link_order` (``None`` for grid-only specs).  That order is the
-    row-major order of the off-diagonal cells of the dense node-index
-    matrix, so all links land in one masked store.  The grid factor is a
-    scalar per lane (every link transmits at the lane's rate), applied
-    after the state multipliers in a fixed multiplication order.
+    :func:`link_order` (``None`` for grid-only specs) and is kept as is,
+    read-only.  The grid factor is a scalar per lane (every link transmits
+    at the lane's rate), so it is folded into the three per-state values
+    once: ``good = good_multiplier * (1 - loss)``, ``bad =
+    bad_multiplier * (1 - loss)`` and ``self_link = 1 - loss`` (``1`` and
+    the bare multipliers without a grid).
     """
-    n_nodes = len(node_ids)
-    index = {node: k for k, node in enumerate(node_ids)}
-    shape = (dynamics.horizon_slots, n_nodes, n_nodes)
-    if states is None:
-        cube = np.ones(shape, dtype=np.float64)
-    else:
-        process = dynamics.gilbert_elliott
-        bad = np.zeros(shape, dtype=bool)
-        bad[:, ~np.eye(n_nodes, dtype=bool)] = states
-        cube = np.where(bad, process.bad_multiplier, process.good_multiplier)
-        cube.reshape(shape[0], n_nodes * n_nodes)[:, :: n_nodes + 1] = 1.0  # self links
-    if dynamics.grid is not None:
-        cube = cube * (1.0 - dynamics.grid.loss_rate_for(rate_mbps))
+    process = dynamics.gilbert_elliott
+    if (states is None) != (process is None):
+        raise ValueError("states must be given exactly when the spec has a Gilbert-Elliott process")
+    factor = 1.0 if dynamics.grid is None else 1.0 - dynamics.grid.loss_rate_for(rate_mbps)
+    good = bad = factor
+    if process is not None:
+        good = float(process.good_multiplier) * factor
+        bad = float(process.bad_multiplier) * factor
     return LinkStateTrajectory(
-        horizon_slots=dynamics.horizon_slots, node_index=index, multipliers=cube
+        horizon_slots=dynamics.horizon_slots,
+        node_index={node: k for k, node in enumerate(node_ids)},
+        states=states,
+        good=good,
+        bad=bad,
+        self_link=factor,
     )
 
 
@@ -354,5 +430,6 @@ def materialise_trajectory(
     uniforms = None
     if dynamics.gilbert_elliott is not None:
         rng = require_rng(rng, "materialise_trajectory")
-        uniforms = dynamics.draw_state_uniforms(rng, len(link_order(node_ids)))
+        n_nodes = len(node_ids)
+        uniforms = dynamics.draw_state_uniforms(rng, n_nodes * (n_nodes - 1))
     return trajectory_from_uniforms(dynamics, node_ids, rate_mbps, uniforms)

@@ -596,7 +596,7 @@ class _OneWaveLane(Lane):
 def test_engine_conformance_scheduler_frees_lanes_on_return():
     """A finished run keeps no lane alive for the cyclic GC to find.
 
-    Lanes hold large per-lane arrays (fig20's trajectory cubes); if they
+    Lanes hold large per-lane arrays (fig20's trajectory states); if they
     outlive ``run`` until a cyclic collection, peak memory depends on when
     the collector happens to fire.
     """

@@ -1,9 +1,9 @@
 """Shared memoised state is read-only.
 
-Every ``functools.lru_cache`` memo in :mod:`repro.phy` and
-:mod:`repro.net.mac` hands the *same* object to every caller in the
-process, so an in-place write by one caller would silently change every
-later result.  This test finds each memo, calls it with its default
+Every ``functools.lru_cache`` memo in :mod:`repro.phy`,
+:mod:`repro.net.mac` and :mod:`repro.channel.dynamics` hands the *same*
+object to every caller in the process, so an in-place write by one
+caller would silently change every later result.  This test finds each memo, calls it with its default
 arguments (plus a fixed value for each required one), and asserts that
 every ndarray reachable from the returned value — the value itself and
 its attributes — rejects writes.
@@ -27,6 +27,7 @@ REQUIRED_ARGS = {
     "payload_bytes": 1460,
     "rate": rate_for_mbps(12.0),
     "n_cosenders": 1,
+    "n_nodes": 4,
 }
 
 #: Instance bound to ``self`` for memoised methods, by owning class name.
@@ -37,7 +38,7 @@ INSTANCES = {
 
 
 def _memo_modules():
-    modules = [importlib.import_module("repro.net.mac")]
+    modules = [importlib.import_module(name) for name in ("repro.net.mac", "repro.channel.dynamics")]
     for info in pkgutil.walk_packages(repro.phy.__path__, "repro.phy."):
         modules.append(importlib.import_module(info.name))
     return modules
@@ -84,6 +85,7 @@ def test_shared_memos_are_read_only():
         "repro.phy.preamble.long_training_field",
         "repro.phy.rates.Rate.data_bits_per_ofdm_symbol",
         "repro.net.mac.MacTiming.joint_transaction_us",
+        "repro.channel.dynamics._link_columns",
     } <= names
     writable = []
     for name, memo, owner in memos:

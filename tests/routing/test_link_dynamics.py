@@ -20,7 +20,6 @@ import pytest
 from repro.channel.dynamics import (
     GilbertElliott,
     LinkDynamics,
-    LinkStateTrajectory,
     LossRateGrid,
     link_order,
     materialise_trajectory,
@@ -42,6 +41,7 @@ from repro.traffic import (
     relay_mesh,
     simulate_flow_services,
 )
+from tests.engine.trajectory_oracles import DenseTrajectory, assert_lookups_match
 from tests.engine.transfer_oracles import link_local_scalar
 
 #: A bursty process deep enough that recovery schemes visibly diverge.
@@ -130,42 +130,87 @@ class TestTrajectory:
             )
 
     def test_accessors_agree_and_joint_senders_take_the_best_link(self):
-        cube = np.ones((2, 3, 3))
-        cube[0, 0, 2] = 0.25  # link 0→2 bad at slot 0
-        cube[0, 1, 2] = 0.75  # link 1→2 better at slot 0
-        trajectory = LinkStateTrajectory(
-            horizon_slots=2, node_index={0: 0, 1: 1, 2: 2}, multipliers=cube
-        )
-        assert trajectory.pair_multiplier(0, 0, 2) == 0.25
-        np.testing.assert_array_equal(trajectory.rows(0, 2, 0, [2])[:, 0], [0.25, 1.0])
-        # A joint (0, 1) transmission towards 2 rides the best sender's state.
-        np.testing.assert_array_equal(
-            trajectory.receiver_multipliers(0, [0, 1], [2]), [0.75]
-        )
+        node_ids = [0, 1, 2]
+        columns = link_order(node_ids)
+        states = np.zeros((2, len(columns)), dtype=bool)
+        states[0, columns.index((0, 2))] = True  # link 0→2 bad at slot 0 only
+        states[:, columns.index((1, 2))] = True  # link 1→2 bad at both slots
+        for grid in (None, LossRateGrid((6.0, 24.0), (0.02, 0.1))):
+            dynamics = LinkDynamics(gilbert_elliott=_GE, grid=grid, horizon_slots=2)
+            trajectory = trajectory_from_states(dynamics, node_ids, 12.0, states)
+            oracle = DenseTrajectory(dynamics, node_ids, 12.0, states)
+
+            factor = 1.0 if grid is None else 1.0 - grid.loss_rate_for(12.0)
+            bad, good = _GE.bad_multiplier * factor, _GE.good_multiplier * factor
+            assert trajectory.pair_multiplier(0, 0, 2) == bad
+            np.testing.assert_array_equal(trajectory.rows(0, 2, 0, [2])[:, 0], [bad, good])
+            # A joint (0, 1) transmission towards 2 rides the best sender's state.
+            np.testing.assert_array_equal(trajectory.receiver_multipliers(0, [0, 1], [2]), [bad])
+            np.testing.assert_array_equal(trajectory.receiver_multipliers(1, [0, 1], [2]), [good])
+            for slot in range(4):
+                assert_lookups_match(trajectory, oracle, slot, 3, [0, 1], node_ids)
 
     def test_link_order_is_all_ordered_pairs(self):
         assert link_order([3, 5]) == [(3, 5), (5, 3)]
 
     @pytest.mark.parametrize("grid", [None, LossRateGrid((6.0, 24.0), (0.02, 0.1))])
     def test_cube_assembly_matches_a_per_link_build(self, grid):
-        """Non-contiguous node ids: every link column lands in its own cell."""
+        """Non-contiguous node ids: every link column reads as its own cell
+        of the dense per-link cube, self links included."""
         node_ids = [3, 5, 9, 11]
         dynamics = LinkDynamics(gilbert_elliott=_GE, grid=grid, horizon_slots=8)
         states = np.random.default_rng(4).random((8, len(link_order(node_ids)))) < 0.5
         trajectory = trajectory_from_states(dynamics, node_ids, 12.0, states)
+        oracle = DenseTrajectory(dynamics, node_ids, 12.0, states)
 
+        assert trajectory.node_index == oracle.node_index
+        for slot in range(10):
+            for src in node_ids:
+                assert_lookups_match(trajectory, oracle, slot, 8, [src], node_ids)
+            assert_lookups_match(trajectory, oracle, slot, 1, node_ids, node_ids)
         factor = 1.0 if grid is None else 1.0 - grid.loss_rate_for(12.0)
-        index = {node: k for k, node in enumerate(node_ids)}
-        expected = np.ones((8, 4, 4))
-        for column, (a, b) in enumerate(link_order(node_ids)):
-            expected[:, index[a], index[b]] = np.where(
-                states[:, column], _GE.bad_multiplier, _GE.good_multiplier
-            )
-        np.testing.assert_array_equal(trajectory.multipliers, expected * factor)
-        assert trajectory.node_index == index
         for node in node_ids:
             assert trajectory.pair_multiplier(5, node, node) == 1.0 * factor
-        assert trajectory.pair_multiplier(2, 9, 3) == expected[2, 2, 0] * factor
+
+    def test_grid_only_lookups_match_the_dense_build(self):
+        node_ids = [3, 5, 9]
+        dynamics = LinkDynamics(grid=LossRateGrid((6.0, 24.0), (0.02, 0.1)), horizon_slots=4)
+        trajectory = trajectory_from_states(dynamics, node_ids, 12.0, None)
+        oracle = DenseTrajectory(dynamics, node_ids, 12.0, None)
+        assert trajectory.states is None
+        for slot in range(6):
+            assert_lookups_match(trajectory, oracle, slot, 5, node_ids[:2], node_ids)
+
+    def test_states_are_frozen_and_shape_checked(self):
+        node_ids = [0, 1, 2]
+        trajectory = materialise_trajectory(_DYNAMICS, node_ids, 12.0, np.random.default_rng(3))
+        assert trajectory.states.shape == (_DYNAMICS.horizon_slots, 6)
+        with pytest.raises(ValueError):
+            trajectory.states[0, 0] = True
+        with pytest.raises(ValueError, match="shape"):
+            trajectory_from_states(_DYNAMICS, node_ids, 12.0, np.zeros((4, 6), dtype=bool))
+        with pytest.raises(ValueError, match="Gilbert-Elliott"):
+            trajectory_from_states(_DYNAMICS, node_ids, 12.0, None)
+
+
+class TestFaultParameterValidation:
+    """Bad fault parameters fail where they are built, naming the argument."""
+
+    @pytest.mark.parametrize("name", ["good_multiplier", "bad_multiplier"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
+    def test_multipliers_must_be_finite_and_non_negative(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            GilbertElliott(0.1, 0.5, **{name: value})
+
+    @pytest.mark.parametrize("horizon", [2.5, 8.0, True, np.True_, "8"])
+    def test_horizon_must_be_an_integer(self, horizon):
+        with pytest.raises(ValueError, match="horizon_slots"):
+            LinkDynamics(gilbert_elliott=_GE, horizon_slots=horizon)
+
+    def test_numpy_integer_horizon_stays_valid(self):
+        dynamics = LinkDynamics(gilbert_elliott=_GE, horizon_slots=np.int64(8))
+        trajectory = materialise_trajectory(dynamics, [0, 1], 12.0, np.random.default_rng(0))
+        assert trajectory.states.shape == (8, 2)
 
 
 def _close_pair_testbed(seed):
