@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.phy.params import OFDMParams, DEFAULT_PARAMS
 
@@ -143,6 +142,11 @@ def optimize_wait_times(
                 coeffs[i] = 1.0
                 coeffs[j] = -1.0
                 add_abs_constraint(coeffs, t[i, k] - t[j, k])
+
+    # Imported here, not at module top: scipy.optimize about doubles the
+    # cold `import repro.experiments` time and adds ~38 MB of RSS, while no
+    # experiment solves this LP (tests/test_import_footprint.py guards it).
+    from scipy.optimize import linprog
 
     cost = np.zeros(n_vars)
     cost[-1] = 1.0

@@ -47,7 +47,7 @@ def _repo_root() -> Path:
     overrides either way.
     """
     for parent in Path(__file__).resolve().parents:
-        if (parent / "setup.py").exists() or (parent / ".git").exists():
+        if (parent / "pyproject.toml").exists() or (parent / ".git").exists():
             return parent
     return Path.cwd()
 

@@ -10,9 +10,12 @@ from which delivery probabilities are derived (see
 :mod:`repro.analysis.error_models`).
 
 Joint (SourceSync) transmissions from several senders combine their
-per-subcarrier SNRs; the extra cyclic-prefix overhead required to absorb
-residual misalignment at multiple receivers (§4.6) is charged as airtime,
-not as an SNR penalty.
+per-subcarrier SNRs.  The extra cyclic prefix the lead sender would announce
+to absorb residual misalignment at multiple receivers (§4.6) is not charged
+today, neither as airtime nor as an SNR penalty: every
+``MacTiming.joint_transaction_us`` caller leaves ``extra_cp_samples`` at its
+default of 0 (see the "Charge the §4.6 multi-receiver CP increase" item, the
+first open item in ROADMAP.md).
 """
 
 from __future__ import annotations
