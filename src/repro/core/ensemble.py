@@ -74,19 +74,17 @@ from repro.channel.composite import (
     propagate_rows,
 )
 from repro.core.channel_est.cfo import CfoEstimate
-from repro.core.frame import JointFrameLayout, make_joint_frame_config
+from repro.core.frame import JointFrameLayout
 from repro.engine import Lane, LockstepScheduler
-from repro.core.sender import CoSender
 from repro.core.session import (
+    _LEADING_SILENCE,
     HeaderExchangeOutcome,
     JointFrameOutcome,
     SourceSyncSession,
     SyncTrialResult,
 )
-from repro.core.sync.compensation import DelayBudget, compute_wait_time
 from repro.core.sync.detection_delay import phase_slope_windowed_batch
 from repro.core.sync.probe import ProbeLegResult, PropagationDelayEstimate, _acquisition_backoff
-from repro.core.sync.tracking import WaitTimeTracker
 from repro.phy.detection import (
     detect_packet_autocorrelation_batch,
     estimate_coarse_cfo_rows,
@@ -322,64 +320,33 @@ def measure_delays_batch(
     from repro.core.sync.probe import probe_waveform
 
     for i in range(n_cosenders):
-        pair_specs = [
-            # (forward link, reverse link, responder frontend, initiator frontend)
-            lambda topo, i=i: (
-                topo.links_lead_cosender[i],
-                topo.links_cosender_lead[i],
-                topo.cosenders[i].frontend,
-                topo.lead.frontend,
-            ),
-            lambda topo: (
-                topo.link_lead_rx,
-                topo.link_rx_lead,
-                topo.receiver.frontend,
-                topo.lead.frontend,
-            ),
-            lambda topo, i=i: (
-                topo.links_cosender_rx[i],
-                topo.links_rx_cosender[i],
-                topo.receiver.frontend,
-                topo.cosenders[i].frontend,
-            ),
-        ]
         measurements: list[list[PropagationDelayEstimate]] = []
-        for spec in pair_specs:
+        # One probe pair at a time, each as (session-ordered) lockstep waves.
+        for specs in zip(*(session._probe_pairs(i) for session in sessions)):
             estimates_per_session: list[list[float]] = [[] for _ in sessions]
             last_legs: list[tuple[ProbeLegResult | None, ProbeLegResult | None]] = [
                 (None, None) for _ in sessions
             ]
             for _ in range(n_probes):
-                fwd_jobs = []
-                for session in sessions:
-                    forward, _, responder, _ = spec(session.topology)
-                    fwd_jobs.append(
-                        _LegJob(
-                            link=forward,
-                            rng=session.rng,
-                            noise_power=session.topology.noise_power,
-                            params=session.topology.params,
-                            waveform=probe_waveform(session.topology.params),
-                            frontend=responder,
-                        )
+                # Forward legs are received by the responder, reverse legs
+                # by the initiator.
+                fwd, rev = (
+                    _probe_legs_lockstep(
+                        [
+                            _LegJob(
+                                link=spec[link],
+                                rng=session.rng,
+                                noise_power=session.topology.noise_power,
+                                params=session.topology.params,
+                                waveform=probe_waveform(session.topology.params),
+                                frontend=spec[listener],
+                            )
+                            for session, spec in zip(sessions, specs)
+                        ]
                     )
-                fwd = _probe_legs_lockstep(fwd_jobs)
-                rev_jobs = []
-                for session in sessions:
-                    _, reverse, _, initiator = spec(session.topology)
-                    rev_jobs.append(
-                        _LegJob(
-                            link=reverse,
-                            rng=session.rng,
-                            noise_power=session.topology.noise_power,
-                            params=session.topology.params,
-                            waveform=probe_waveform(session.topology.params),
-                            frontend=initiator,
-                        )
-                    )
-                rev = _probe_legs_lockstep(rev_jobs)
-                for s, session in enumerate(sessions):
-                    forward, reverse, _, _ = spec(session.topology)
+                    for link, listener in ((0, 3), (1, 2))
+                )
+                for s, (forward, reverse, _, _) in enumerate(specs):
                     last_legs[s] = (fwd[s], rev[s])
                     if not (fwd[s].detected and rev[s].detected):
                         continue
@@ -396,8 +363,7 @@ def measure_delays_batch(
                     )
                     estimates_per_session[s].append(two_way / 2.0)
             per_session: list[PropagationDelayEstimate] = []
-            for s, session in enumerate(sessions):
-                forward, reverse, _, _ = spec(session.topology)
+            for s, (forward, reverse, _, _) in enumerate(specs):
                 true_one_way = 0.5 * (forward.delay_samples + reverse.delay_samples)
                 if estimates_per_session[s]:
                     per_session.append(
@@ -441,34 +407,13 @@ def measure_delays_batch(
 
         lead_co, lead_rx, co_rx = measurements
         for s, session in enumerate(sessions):
-            topo = session.topology
-            state = session._states[i]
+            true_cfo = session.topology.links_lead_cosender[i].cfo_hz
             cfo = (
-                CfoEstimate(True, float(np.mean(cfo_estimates[s])), topo.links_lead_cosender[i].cfo_hz)
+                CfoEstimate(True, float(np.mean(cfo_estimates[s])), true_cfo)
                 if cfo_estimates[s]
-                else CfoEstimate(False, 0.0, topo.links_lead_cosender[i].cfo_hz)
+                else CfoEstimate(False, 0.0, true_cfo)
             )
-            state.lead_to_cosender_samples = (
-                lead_co[s].one_way_delay_samples
-                if lead_co[s].valid
-                else topo.links_lead_cosender[i].delay_samples
-            )
-            state.lead_to_receiver_samples = (
-                lead_rx[s].one_way_delay_samples
-                if lead_rx[s].valid
-                else topo.link_lead_rx.delay_samples
-            )
-            state.cosender_to_receiver_samples = (
-                co_rx[s].one_way_delay_samples
-                if co_rx[s].valid
-                else topo.links_cosender_rx[i].delay_samples
-            )
-            state.cfo_to_lead_hz = -cfo.cfo_hz if cfo.valid else 0.0
-            state.tracker = WaitTimeTracker(
-                wait_time_samples=state.lead_to_receiver_samples
-                - state.cosender_to_receiver_samples,
-                gain=session.config.tracking_gain,
-            )
+            session._load_measurements(i, (lead_co[s], lead_rx[s], co_rx[s], cfo))
     for session in sessions:
         session._delays_measured = True
 
@@ -514,118 +459,12 @@ def _schedule_lockstep(
         ]
         legs = _probe_legs_lockstep(jobs)
         for lane, (session, layout, _) in enumerate(lanes):
-            start, lane_feasible = _schedule_from_leg(
-                session, layout, i, legs[lane], compensate_flags[lane]
+            start, lane_feasible = session._schedule_from_leg(
+                layout, i, legs[lane], compensate_flags[lane]
             )
             starts[lane].append(start)
             feasible[lane].append(lane_feasible)
     return starts, feasible
-
-
-def _schedule_from_leg(
-    session: SourceSyncSession,
-    layout: JointFrameLayout,
-    i: int,
-    leg: ProbeLegResult,
-    compensate: bool,
-) -> tuple[float, bool]:
-    """Co-sender ``i``'s transmit start from its header-reception leg (§4.3)."""
-    state = session._states[i]
-    frontend = session.topology.cosenders[i].frontend
-    link = session.topology.links_lead_cosender[i]
-    sifs = float(layout.sifs_samples)
-    header_len = float(layout.sync_header_samples)
-    slot_offset = float(i * layout.ltf_samples)
-    if not leg.detected:
-        return float("nan"), False
-    est_detect_delay = leg.estimated_detection_delay if compensate else 0.0
-    wait_time = (
-        state.tracker.wait_time_samples
-        if (state.tracker is not None and compensate)
-        else 0.0
-    )
-    if compensate:
-        budget = DelayBudget(
-            lead_to_cosender=state.lead_to_cosender_samples,
-            detection_delay=est_detect_delay,
-            turnaround=frontend.measure_turnaround_samples(),
-            lead_to_receiver=state.cosender_to_receiver_samples + wait_time,
-            cosender_to_receiver=state.cosender_to_receiver_samples,
-        )
-        schedule = compute_wait_time(budget, sifs, extra_slot_offset=slot_offset)
-        local_wait = schedule.local_wait_after_detection
-        schedule_feasible = schedule.feasible
-        actual_start = (
-            link.delay_samples
-            + leg.true_detection_delay
-            + header_len
-            + frontend.turnaround_samples
-            + max(local_wait, 0.0)
-        )
-    else:
-        target_offset = sifs + slot_offset
-        schedule_feasible = True
-        actual_start = (
-            link.delay_samples
-            + leg.true_detection_delay
-            + header_len
-            + frontend.turnaround_samples
-            + max(target_offset - frontend.turnaround_samples, 0.0)
-        )
-    return float(actual_start), bool(schedule_feasible)
-
-
-def _header_layout(session: SourceSyncSession) -> JointFrameLayout:
-    return JointFrameLayout(
-        params=session.topology.params,
-        n_cosenders=session.topology.n_cosenders,
-        n_data_symbols=1,
-        sifs_us=session.config.sifs_us,
-    )
-
-
-def _draw_header(session: SourceSyncSession, layout: JointFrameLayout, rate_mbps: float = 6.0):
-    header = session.lead.make_header(
-        packet_id=int(session.rng.integers(0, 1 << 16)),
-        rate_mbps=rate_mbps,
-        data_cp_samples=layout.effective_data_cp,
-        n_cosenders=layout.n_cosenders,
-    )
-    return header, session.lead.header_waveform(header, layout)
-
-
-def _cosender_transmissions(
-    session: SourceSyncSession,
-    layout: JointFrameLayout,
-    starts: list[float],
-    training_only: bool = True,
-    payload: bytes | None = None,
-    frame_config=None,
-    active: list[int] | None = None,
-) -> list[Transmission]:
-    topo = session.topology
-    indices = range(topo.n_cosenders) if active is None else active
-    transmissions = []
-    for i in indices:
-        if not np.isfinite(starts[i]):
-            continue
-        cosender = CoSender(
-            cosender_index=i,
-            config=session.config,
-            node_id=topo.cosenders[i].node_id,
-            # CFO pre-correction is applied even in the unsynchronized
-            # baseline (the timing comparison isolates timing, not
-            # frequency handling) — same as the sequential path.
-            cfo_precorrection_hz=session._states[i].cfo_to_lead_hz,
-        )
-        if training_only:
-            samples = cosender.training_waveform(layout)
-        else:
-            samples = cosender.build_waveform(payload, layout, frame_config)
-        transmissions.append(
-            Transmission(link=topo.links_cosender_rx[i], samples=samples, start_sample=starts[i])
-        )
-    return transmissions
 
 
 # ----------------------------------------------------------------------
@@ -647,15 +486,12 @@ def run_sync_trials_batch(
     for _ in range(repeats):
         lanes = []
         for session in sessions:
-            layout = _header_layout(session)
-            _, header_waveform = _draw_header(session, layout)
+            layout = session._layout()
+            header_waveform = session.lead.header_waveform(session._header(layout), layout)
             lanes.append((session, layout, header_waveform))
         starts, feasible = _schedule_lockstep(lanes, compensate)
-        for s, session in enumerate(sessions):
-            layout = lanes[s][1]
-            misalignment = session._true_misalignments(layout, starts[s])
-            snr_db = session.topology.link_lead_rx.snr_db(session.topology.noise_power)
-            results[s].append(SyncTrialResult(misalignment, tuple(feasible[s]), snr_db))
+        for s, (session, layout, _) in enumerate(lanes):
+            results[s].append(session._sync_trial_result(layout, starts[s], feasible[s]))
     return results
 
 
@@ -681,7 +517,6 @@ def run_header_exchanges_batch(
         raise ValueError("tracking feedback requires repeats == 1 (sequential dependence)")
     _check_common_structure(sessions)
     _ensure_measured_batch(sessions)
-    leading_silence = 60
     n_cosenders = sessions[0].topology.n_cosenders
 
     # ------------------------------------------------------------------
@@ -693,7 +528,7 @@ def run_header_exchanges_batch(
     # generator snapshot and replayed through the scalar path, so outputs
     # are always those of the sequential loop.
     # ------------------------------------------------------------------
-    layouts = [_header_layout(session) for session in sessions]
+    layouts = [session._layout() for session in sessions]
     snapshots = [
         {**session.rng.bit_generator.state} for session in sessions
     ]
@@ -706,12 +541,7 @@ def run_header_exchanges_batch(
         topo = session.topology
         layout = layouts[s]
         header_len = layout.sync_header_samples
-        total_needed = (
-            leading_silence
-            + int(np.ceil(topo.link_lead_rx.delay_samples))
-            + layout.data_offset
-            + 40
-        )
+        total_needed = session._header_exchange_length(layout)
         totals.append(total_needed)
         session_pids: list[int] = []
         session_noises: list[list[np.ndarray]] = []
@@ -746,18 +576,10 @@ def run_header_exchanges_batch(
     # ------------------------------------------------------------------
     header_waveforms = [
         [
-            sessions[s].lead.header_waveform(
-                sessions[s].lead.make_header(
-                    packet_id=pid,
-                    rate_mbps=6.0,
-                    data_cp_samples=layouts[s].effective_data_cp,
-                    n_cosenders=layouts[s].n_cosenders,
-                ),
-                layouts[s],
-            )
-            for pid in pids[s]
+            session.lead.header_waveform(session._header(layout, packet_id=pid), layout)
+            for pid in session_pids
         ]
-        for s in range(len(sessions))
+        for session, layout, session_pids in zip(sessions, layouts, pids)
     ]
     jobs: list[_LegJob] = []
     job_key: list[tuple[int, int, int]] = []
@@ -812,8 +634,8 @@ def run_header_exchanges_batch(
             starts = []
             feasible = []
             for i in range(n_cosenders):
-                start, ok = _schedule_from_leg(
-                    session, layouts[s], i, legs_by_key[(s, r, i)], compensate
+                start, ok = session._schedule_from_leg(
+                    layouts[s], i, legs_by_key[(s, r, i)], compensate
                 )
                 starts.append(start)
                 feasible.append(ok)
@@ -831,11 +653,9 @@ def run_header_exchanges_batch(
         transmissions = [
             Transmission(
                 link=topo.link_lead_rx, samples=header_waveforms[s][r], start_sample=0.0
-            )
+            ),
+            *session._cosender_transmissions(layouts[s], lane_starts[(s, r)]),
         ]
-        transmissions.extend(
-            _cosender_transmissions(session, layouts[s], lane_starts[(s, r)])
-        )
         for tx in transmissions:
             grouped.setdefault(np.asarray(tx.samples).shape[-1], []).append(((s, r), tx))
     for _, members in grouped.items():
@@ -844,7 +664,7 @@ def run_header_exchanges_batch(
         starts_rows = [tx.start_sample for _, tx in members]
         for (key, _), (waveform, start) in zip(members, propagate_rows(links, waveforms, starts_rows)):
             lane_contributions.setdefault(key, []).append(
-                (int(start) + leading_silence, waveform)
+                (int(start) + _LEADING_SILENCE, waveform)
             )
     for s, r in lane_order:
         end = max(
@@ -880,38 +700,18 @@ def run_header_exchanges_batch(
             if noise is not None:
                 padded[row, : totals[s]] += noise
             lengths[row] = totals[s]
-            start_hints.append(
-                leading_silence
-                + int(round(sessions[s].topology.link_lead_rx.delay_samples))
-                if genie_timing
-                else None
-            )
+            start_hints.append(sessions[s]._receiver_start(genie_timing))
         measured = sessions[0].receiver.measure_header_batch(
             padded, lengths, layouts[ok_lanes[0][0]], start_hints
         )
         for (s, r), (channels, misalignment, _) in zip(ok_lanes, measured):
-            session = sessions[s]
-            starts = lane_starts[(s, r)]
-            true_misalignment = session._true_misalignments(layouts[s], starts)
-            if apply_tracking_feedback and misalignment is not None:
-                reported = iter(misalignment.misalignments_samples)
-                for i in range(session.topology.n_cosenders):
-                    if not np.isfinite(starts[i]):
-                        continue
-                    state = session._states[i]
-                    if state.tracker is None:
-                        continue
-                    try:
-                        state.tracker.update(next(reported))
-                    except StopIteration:
-                        break
-            snr_db = session.topology.link_lead_rx.snr_db(session.topology.noise_power)
-            results[s][r] = HeaderExchangeOutcome(
-                measured_misalignment=misalignment,
-                true_misalignment_samples=true_misalignment,
-                schedules_feasible=tuple(lane_feasible[(s, r)]),
-                snr_db=snr_db,
-                channels=channels,
+            results[s][r] = sessions[s]._header_outcome(
+                layouts[s],
+                lane_starts[(s, r)],
+                lane_feasible[(s, r)],
+                channels,
+                misalignment,
+                apply_tracking_feedback,
             )
     return results  # type: ignore[return-value]
 
@@ -1004,79 +804,41 @@ class _JointFrameLane(Lane):
     def advance_lanes(cls, lanes: list["_JointFrameLane"]) -> None:
         """Transmit one joint frame per live session as a single stacked wave."""
         ctx = lanes[0].ctx
-        built = []
-        for wrapper in lanes:
-            session = wrapper.session
-            job = wrapper.jobs[wrapper.wave_index]
-            frame_config = make_joint_frame_config(
-                len(job.payload), job.rate_mbps, session.topology.params, job.data_cp_samples
-            )
-            layout = JointFrameLayout(
-                params=session.topology.params,
-                n_cosenders=session.topology.n_cosenders,
-                n_data_symbols=session._padded_symbol_count(frame_config),
-                data_cp_samples=job.data_cp_samples,
-                sifs_us=session.config.sifs_us,
-            )
-            header, header_waveform = _draw_header(session, layout, job.rate_mbps)
-            lead_waveform = session.lead.build_waveform(
-                job.payload, header, layout, frame_config
-            )
-            built.append((wrapper, job, frame_config, layout, header_waveform, lead_waveform))
-        schedule_lanes = [
-            (entry[0].session, entry[3], entry[4]) for entry in built
+        jobs = [lane.jobs[lane.wave_index] for lane in lanes]
+        frames = [
+            lane.session._build_joint_frame(job.payload, job.rate_mbps, job.data_cp_samples)
+            for lane, job in zip(lanes, jobs)
         ]
         all_starts, all_feasible = _schedule_lockstep(
-            schedule_lanes, [entry[1].compensate for entry in built]
+            [(lane.session, layout, header) for lane, (_, layout, header, _) in zip(lanes, frames)],
+            [job.compensate for job in jobs],
         )
-        leading_silence = 60
         wave_trials: list[tuple[list[Transmission], int | None]] = []
-        wave_info = []
-        for lane, (wrapper, job, frame_config, layout, header_waveform, lead_waveform) in enumerate(
-            built
+        for lane, job, (frame_config, layout, _, lead_waveform), starts in zip(
+            lanes, jobs, frames, all_starts
         ):
-            topo = wrapper.session.topology
-            starts = all_starts[lane]
-            active = (
-                list(range(topo.n_cosenders))
-                if job.active_cosenders is None
-                else sorted(job.active_cosenders)
-            )
+            session = lane.session
+            active = None if job.active_cosenders is None else sorted(job.active_cosenders)
             transmissions = [
-                Transmission(link=topo.link_lead_rx, samples=lead_waveform, start_sample=0.0)
+                Transmission(
+                    link=session.topology.link_lead_rx, samples=lead_waveform, start_sample=0.0
+                ),
+                *session._cosender_transmissions(layout, starts, active, job.payload, frame_config),
             ]
-            transmissions.extend(
-                _cosender_transmissions(
-                    wrapper.session,
-                    layout,
-                    starts,
-                    training_only=False,
-                    payload=job.payload,
-                    frame_config=frame_config,
-                    active=active,
-                )
-            )
             wave_trials.append((transmissions, None))
-            start_index = (
-                leading_silence + int(round(topo.link_lead_rx.delay_samples))
-                if job.genie_timing
-                else None
-            )
-            wave_info.append((wrapper, layout, frame_config, starts, all_feasible[lane], start_index))
         wave_rows, wave_lengths = combine_ensemble_at_receiver(
             wave_trials,
-            [entry[0].session.topology.noise_power for entry in built],
-            [entry[0].session.rng for entry in built],
-            leading_silence=leading_silence,
+            [lane.session.topology.noise_power for lane in lanes],
+            [lane.rng for lane in lanes],
+            leading_silence=_LEADING_SILENCE,
         )
-        for (wrapper, layout, frame_config, starts, feasible, start_index), row, length in zip(
-            wave_info, wave_rows, wave_lengths
+        for lane, job, (frame_config, layout, _, _), starts, feasible, row, length in zip(
+            lanes, jobs, frames, all_starts, all_feasible, wave_rows, wave_lengths
         ):
+            start_index = lane.session._receiver_start(job.genie_timing)
             ctx.receive_jobs.append((row[:length], int(length), layout, frame_config, start_index))
-            ctx.lane_meta.append(
-                (wrapper.s, wrapper.wave_index, layout, frame_config, starts, feasible)
-            )
-            wrapper.wave_index += 1
+            ctx.lane_meta.append((lane.s, lane.wave_index, layout, frame_config, starts, feasible))
+            lane.wave_index += 1
 
 
 def run_joint_frames_batch(
@@ -1115,13 +877,7 @@ def run_joint_frames_batch(
     for (s, wave, layout, frame_config, starts, feasible), result in zip(
         ctx.lane_meta, received_results
     ):
-        session = sessions[s]
-        misalignment = session._true_misalignments(layout, starts)
-        results[s][wave] = JointFrameOutcome(
-            result=result,
-            true_misalignment_samples=misalignment,
-            schedules_feasible=tuple(feasible),
-            layout=layout,
-            frame_config=frame_config,
+        results[s][wave] = sessions[s]._frame_outcome(
+            result, layout, frame_config, starts, feasible
         )
     return results  # type: ignore[return-value]

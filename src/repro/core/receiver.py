@@ -46,7 +46,6 @@ from repro.phy.detection import (
 )
 from repro.phy.equalizer import ChannelEstimate, estimate_channel_ltf, estimate_noise_from_ltf
 from repro.phy.modulation import get_modulation
-from repro.phy.params import OFDMParams
 from repro.phy.receiver import apply_cfo_correction
 from repro.phy.detection import estimate_coarse_cfo
 from repro.phy.transmitter import FrameConfig
@@ -120,25 +119,25 @@ class JointReceiver:
         return True, max(start, 0)
 
     # ------------------------------------------------------------------
-    # Header-only processing (synchronization measurements, §4.5 / §8.1)
+    # Per-frame stages shared by the scalar and the batched receive paths
     # ------------------------------------------------------------------
-    def measure_header(
+    def _header_stage(
         self,
         samples: np.ndarray,
         layout: JointFrameLayout,
-        start_index: int | None = None,
-        correct_cfo: bool = True,
-    ) -> tuple[JointChannelEstimate | None, MisalignmentReport | None, int]:
-        """Estimate per-sender channels and misalignment from the frame header.
+        start_index: int | None,
+        n_samples: int,
+        correct_cfo: bool,
+    ) -> tuple[int, tuple[np.ndarray, float, JointChannelEstimate, MisalignmentReport] | None]:
+        """Timing, CFO correction and per-sender channels of one frame.
 
-        This is the processing a receiver performs on every joint frame to
-        produce the misalignment feedback of §4.5; it needs only the
-        synchronization header and the co-sender training slots, not the
-        data section, and is therefore also the building block of the
-        high-accuracy repeated-header estimator of §8.1.1.
-
-        Returns ``(channels, misalignment, start_index)``; the first two are
-        ``None`` when the frame is not detected.
+        Acquires the frame (or takes the genie ``start_index``), cuts
+        ``n_samples`` from its start, removes the lead-referenced CFO,
+        estimates the lead channel and the noise from the preamble LTF and
+        each co-sender's channel from its training slot, and measures the
+        §4.5 misalignment.  Returns ``(start, stage)`` with ``stage =
+        (frame, cfo_hz, channels, misalignment)``, or ``stage = None`` when
+        the frame is not detected (``start == -1``) or does not fit.
         """
         params = layout.params
         samples = np.asarray(samples, dtype=np.complex128)
@@ -146,13 +145,13 @@ class JointReceiver:
         if start_index is None:
             detected, start = self.acquire(samples, layout)
             if not detected:
-                return None, None, -1
+                return -1, None
         else:
             start = int(start_index)
-        needed = layout.data_offset
-        if start + needed > samples.size:
-            return None, None, start
-        frame = samples[start : start + needed]
+        if start + n_samples > samples.size:
+            return start, None
+        frame = samples[start : start + n_samples]
+        cfo_hz = 0.0
         if correct_cfo:
             try:
                 cfo_hz = estimate_coarse_cfo(samples, start, params)
@@ -180,13 +179,149 @@ class JointReceiver:
             channel.noise_var = noise_var
             cosender_channels.append(channel)
 
-        joint_estimate = JointChannelEstimate(
+        channels = JointChannelEstimate(
             lead=lead_channel, cosenders=cosender_channels, noise_var=noise_var, params=params
         )
         misalignment = measure_misalignment(
             lead_channel, [ch for ch in cosender_channels if ch is not None], params
         )
-        return joint_estimate, misalignment, start
+        return start, (frame, cfo_hz, channels, misalignment)
+
+    def _data_llrs(
+        self,
+        frame: np.ndarray,
+        layout: JointFrameLayout,
+        frame_config: FrameConfig,
+        channels: JointChannelEstimate,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Depunctured LLRs and combined data symbols of one aligned frame.
+
+        Tracks one residual phase per sender on the time-shared pilots,
+        rotates each active sender's channel by it, combines the space-time
+        block code and soft-demaps and deinterleaves every data symbol.
+        Returns ``(llrs, decoded_symbols)``; the LLRs are ready for Viterbi.
+        """
+        params = layout.params
+        backoff = self.config.window_backoff_samples
+        noise_var = channels.noise_var
+        n_intended = 1 + layout.n_cosenders
+        data_params = layout.data_params
+        n_symbols_tx = self.combiner.pad_symbols(
+            np.zeros((frame_config.n_data_symbols, params.n_data_subcarriers))
+        ).shape[0]
+        data_bins = params.data_bins()
+        tracker = PerSenderPhaseTracker(n_senders=n_intended, params=params)
+        active_mask = [True] + [ch is not None for ch in channels.cosenders]
+        silent = ChannelEstimate(np.zeros(params.n_fft, np.complex128), noise_var)
+        intended_channels = [channels.lead] + [
+            ch if ch is not None else silent for ch in channels.cosenders
+        ]
+
+        # One gather + one batched FFT for every data symbol window; only the
+        # pilot phase tracker stays sequential (each update unwraps relative
+        # to the previous phase of the owning sender).
+        windows = (
+            layout.data_offset
+            + np.arange(n_symbols_tx)[:, None] * layout.data_symbol_samples
+            + data_params.cp_samples
+            - backoff
+            + np.arange(params.n_fft)[None, :]
+        )
+        freq_all = np.fft.fft(frame[windows], axis=-1) / np.sqrt(params.n_fft)
+        phase_track = np.empty((n_symbols_tx, n_intended), dtype=np.float64)
+        for t in range(n_symbols_tx):
+            if not self.config.pilot_sharing or active_mask[pilot_owner(t, n_intended)]:
+                tracker.update(freq_all[t], intended_channels, t)
+            phase_track[t] = tracker.phases
+        raw_symbols = freq_all[:, data_bins]
+        per_symbol_channels = [
+            channel.on_bins(data_bins)[None, :] * np.exp(1j * phase_track[:, sender])[:, None]
+            for sender, channel in enumerate(intended_channels)
+            if active_mask[sender]
+        ]
+        modulation = get_modulation(frame_config.rate.modulation)
+        decoded_symbols, gain = self.combiner.decode(
+            raw_symbols,
+            per_symbol_channels,
+            codeword_indices=channels.active_codewords(),
+            constellation=modulation.points,
+            return_gain=True,
+        )
+
+        # Bit-domain processing (identical to the single-sender chain): all
+        # data symbols are soft-demapped in one vectorised call and
+        # deinterleaved with a single permutation of the (n_symbols, n_cbps)
+        # block instead of a per-symbol Python loop.
+        n_cbps = frame_config.coded_bits_per_symbol
+        n_sym = frame_config.n_data_symbols
+        noise_eff = np.broadcast_to(
+            noise_var / np.maximum(gain[:n_sym], 1e-12), decoded_symbols[:n_sym].shape
+        )
+        soft = modulation.demodulate_soft(
+            decoded_symbols[:n_sym].reshape(-1), noise_eff.reshape(-1)
+        ).reshape(n_sym, n_cbps)
+        perm = interleaver_permutation(n_cbps, frame_config.rate.bits_per_symbol)
+        llrs = soft[:, perm].reshape(-1)
+        original_len = _CODE.coded_length(frame_config.n_info_bits + frame_config.n_pad_bits)
+        return depuncture(llrs, frame_config.rate.code_rate, original_len), decoded_symbols
+
+    @staticmethod
+    def _frame_result(
+        decoded_bits: np.ndarray,
+        frame_config: FrameConfig,
+        start: int,
+        cfo_hz: float,
+        channels: JointChannelEstimate,
+        misalignment: MisalignmentReport,
+        decoded_symbols: np.ndarray,
+    ) -> JointReceiveResult:
+        """Descramble, check the CRC and rate the SNR of one decoded frame."""
+        descrambled = bitutils.descramble(decoded_bits, frame_config.scrambler_seed)
+        frame_bytes = bitutils.bits_to_bytes(descrambled[: frame_config.n_info_bits])
+        payload, crc_ok = bitutils.check_crc(frame_bytes)
+        per_sc_snr = channels.per_subcarrier_snr_db()
+        snr_db = float(10.0 * np.log10(max(np.mean(10.0 ** (per_sc_snr / 10.0)), 1e-15)))
+        return JointReceiveResult(
+            detected=True,
+            crc_ok=crc_ok,
+            payload=payload if crc_ok else frame_bytes[:-4],
+            start_index=start,
+            channels=channels,
+            misalignment=misalignment,
+            snr_db=snr_db,
+            per_subcarrier_snr_db=per_sc_snr,
+            cfo_hz=cfo_hz,
+            equalized_symbols=decoded_symbols[: frame_config.n_data_symbols],
+        )
+
+    # ------------------------------------------------------------------
+    # Header-only processing (synchronization measurements, §4.5 / §8.1)
+    # ------------------------------------------------------------------
+    def measure_header(
+        self,
+        samples: np.ndarray,
+        layout: JointFrameLayout,
+        start_index: int | None = None,
+        correct_cfo: bool = True,
+    ) -> tuple[JointChannelEstimate | None, MisalignmentReport | None, int]:
+        """Estimate per-sender channels and misalignment from the frame header.
+
+        This is the processing a receiver performs on every joint frame to
+        produce the misalignment feedback of §4.5; it needs only the
+        synchronization header and the co-sender training slots, not the
+        data section, and is therefore also the building block of the
+        high-accuracy repeated-header estimator of §8.1.1.
+
+        Returns ``(channels, misalignment, start_index)``; the first two are
+        ``None`` when the frame is not detected.
+        """
+        start, stage = self._header_stage(
+            samples, layout, start_index, layout.data_offset, correct_cfo
+        )
+        if stage is None:
+            return None, None, start
+        _, _, channels, misalignment = stage
+        return channels, misalignment, start
 
     # ------------------------------------------------------------------
     # Main receive path
@@ -216,159 +351,21 @@ class JointReceiver:
             Whether to apply the standard receiver-side CFO correction
             referenced to the lead sender's preamble.
         """
-        params = layout.params
-        samples = np.asarray(samples, dtype=np.complex128)
-        backoff = self.config.window_backoff_samples
-
-        if start_index is None:
-            detected, start = self.acquire(samples, layout)
-            if not detected:
-                return JointReceiveResult(False, False, b"")
-        else:
-            start = int(start_index)
-        if start + layout.total_samples > samples.size:
+        start, stage = self._header_stage(
+            samples, layout, start_index, layout.total_samples, correct_cfo
+        )
+        if stage is None:
             return JointReceiveResult(False, False, b"", start_index=start)
-
-        frame = samples[start : start + layout.total_samples]
-        cfo_hz = 0.0
-        if correct_cfo:
-            try:
-                cfo_hz = estimate_coarse_cfo(samples, start, params)
-            except ValueError:
-                cfo_hz = 0.0
-            frame = apply_cfo_correction(frame, cfo_hz, params.sample_period_s)
-
-        # --- lead sender channel from its preamble LTF
-        ltf_start = layout.stf_samples + 2 * params.cp_samples - backoff
-        reps = np.empty((2, params.n_fft), dtype=np.complex128)
-        for rep in range(2):
-            chunk = frame[ltf_start + rep * params.n_fft : ltf_start + (rep + 1) * params.n_fft]
-            reps[rep] = np.fft.fft(chunk) / np.sqrt(params.n_fft)
-        lead_channel = estimate_channel_ltf(reps, params)
-        noise_var = estimate_noise_from_ltf(reps, params)
-        lead_channel.noise_var = noise_var
-
-        # --- co-sender channels from their training slots
-        cosender_channels: list[ChannelEstimate | None] = []
-        for k in range(layout.n_cosenders):
-            slot_start = layout.cosender_training_offset(k)
-            slot = frame[slot_start : slot_start + layout.ltf_samples]
-            if not sender_active(slot, noise_var):
-                cosender_channels.append(None)
-                continue
-            channel = estimate_sender_channel(slot, params, window_backoff=backoff)
-            channel.noise_var = noise_var
-            cosender_channels.append(channel)
-
-        joint_estimate = JointChannelEstimate(
-            lead=lead_channel,
-            cosenders=cosender_channels,
-            noise_var=noise_var,
-            params=params,
-        )
-        active_channels = joint_estimate.active_channels()
-        active_codewords = joint_estimate.active_codewords()
-        n_intended = 1 + layout.n_cosenders
-
-        # --- data section
-        data_params = layout.data_params
-        n_symbols_tx = self.combiner.pad_symbols(
-            np.zeros((frame_config.n_data_symbols, params.n_data_subcarriers))
-        ).shape[0]
-        data_bins = params.data_bins()
-        raw_symbols = np.empty((n_symbols_tx, data_bins.size), dtype=np.complex128)
-        tracker = PerSenderPhaseTracker(n_senders=n_intended, params=params)
-        per_symbol_channels = [
-            np.empty((n_symbols_tx, data_bins.size), dtype=np.complex128)
-            for _ in active_channels
-        ]
-        active_mask = [True] + [ch is not None for ch in cosender_channels]
-        intended_channels = [lead_channel] + [
-            ch if ch is not None else ChannelEstimate(np.zeros(params.n_fft, np.complex128), noise_var)
-            for ch in cosender_channels
-        ]
-
-        # One gather + one batched FFT for every data symbol window; only the
-        # pilot phase tracker stays sequential (each update unwraps relative
-        # to the previous phase of the owning sender).
-        windows = (
-            layout.data_offset
-            + np.arange(n_symbols_tx)[:, None] * layout.data_symbol_samples
-            + data_params.cp_samples
-            - backoff
-            + np.arange(params.n_fft)[None, :]
-        )
-        freq_all = np.fft.fft(frame[windows], axis=-1) / np.sqrt(params.n_fft)
-        phase_track = np.empty((n_symbols_tx, n_intended), dtype=np.float64)
-        for t in range(n_symbols_tx):
-            if self.config.pilot_sharing:
-                owner = pilot_owner(t, n_intended)
-                if active_mask[owner]:
-                    tracker.update(freq_all[t], intended_channels, t)
-            else:
-                tracker.update(freq_all[t], intended_channels, t)
-            phase_track[t] = tracker.phases
-        raw_symbols[:] = freq_all[:, data_bins]
-        active_idx = 0
-        for sender, channel in enumerate(intended_channels):
-            if not active_mask[sender]:
-                continue
-            rotation = np.exp(1j * phase_track[:, sender])
-            per_symbol_channels[active_idx][:] = (
-                channel.on_bins(data_bins)[None, :] * rotation[:, None]
-            )
-            active_idx += 1
-
-        decoded_symbols, gain = self.combiner.decode(
-            raw_symbols,
-            per_symbol_channels,
-            codeword_indices=active_codewords,
-            constellation=get_modulation(frame_config.rate.modulation).points,
-            return_gain=True,
-        )
-
-        # --- bit-domain processing (identical to the single-sender chain);
-        # all data symbols are soft-demapped in one vectorised call and
-        # deinterleaved with a single permutation of the (n_symbols, n_cbps)
-        # block instead of a per-symbol Python loop.
-        modulation = get_modulation(frame_config.rate.modulation)
-        n_cbps = frame_config.coded_bits_per_symbol
-        n_sym = frame_config.n_data_symbols
-        noise_eff = np.broadcast_to(
-            noise_var / np.maximum(gain[:n_sym], 1e-12), decoded_symbols[:n_sym].shape
-        )
-        soft = modulation.demodulate_soft(
-            decoded_symbols[:n_sym].reshape(-1), noise_eff.reshape(-1)
-        ).reshape(n_sym, n_cbps)
-        perm = interleaver_permutation(n_cbps, frame_config.rate.bits_per_symbol)
-        llrs = soft[:, perm].reshape(-1)
-
-        original_len = _CODE.coded_length(frame_config.n_info_bits + frame_config.n_pad_bits)
-        soft_full = depuncture(llrs, frame_config.rate.code_rate, original_len)
-        decoded_bits = _CODE.decode(soft_full, terminated=True)
-        descrambled = bitutils.descramble(decoded_bits, frame_config.scrambler_seed)
-        info_bits = descrambled[: frame_config.n_info_bits]
-        frame_bytes = bitutils.bits_to_bytes(info_bits)
-        payload, crc_ok = bitutils.check_crc(frame_bytes)
-
-        # --- feedback and quality metrics
-        misalignment = measure_misalignment(
-            lead_channel, [ch for ch in cosender_channels if ch is not None], params
-        )
-        per_sc_snr = joint_estimate.per_subcarrier_snr_db()
-        snr_db = float(10.0 * np.log10(max(np.mean(10.0 ** (per_sc_snr / 10.0)), 1e-15)))
-
-        return JointReceiveResult(
-            detected=True,
-            crc_ok=crc_ok,
-            payload=payload if crc_ok else frame_bytes[:-4],
-            start_index=start,
-            channels=joint_estimate,
-            misalignment=misalignment,
-            snr_db=snr_db,
-            per_subcarrier_snr_db=per_sc_snr,
-            cfo_hz=cfo_hz,
-            equalized_symbols=decoded_symbols[: frame_config.n_data_symbols],
+        frame, cfo_hz, channels, misalignment = stage
+        llrs, decoded_symbols = self._data_llrs(frame, layout, frame_config, channels)
+        return self._frame_result(
+            _CODE.decode(llrs, terminated=True),
+            frame_config,
+            start,
+            cfo_hz,
+            channels,
+            misalignment,
+            decoded_symbols,
         )
 
     # ------------------------------------------------------------------
@@ -638,113 +635,29 @@ class JointReceiver:
 
         # Per-job data sections up to the LLR block, then one Viterbi pass
         # per coded length.
-        llr_blocks: dict[int, list[tuple[int, np.ndarray, FrameConfig]]] = {}
+        llr_blocks: dict[int, list[tuple[int, np.ndarray]]] = {}
         decoded_symbols_by_job: dict[int, np.ndarray] = {}
-        gains_by_job: dict[int, np.ndarray] = {}
         for pos, i in enumerate(idx):
             _, _, layout, frame_config, _ = jobs[i]
-            frame = frames[i]
-            joint_estimate = estimates[pos]
-            noise_var = float(noise_vars[pos])
-            backoff = self.config.window_backoff_samples
-            active_codewords = joint_estimate.active_codewords()
-            n_intended = 1 + layout.n_cosenders
-            data_params = layout.data_params
-            n_symbols_tx = self.combiner.pad_symbols(
-                np.zeros((frame_config.n_data_symbols, params.n_data_subcarriers))
-            ).shape[0]
-            data_bins = params.data_bins()
-            tracker = PerSenderPhaseTracker(n_senders=n_intended, params=params)
-            active_mask = [True] + [ch is not None for ch in joint_estimate.cosenders]
-            intended_channels = [joint_estimate.lead] + [
-                ch
-                if ch is not None
-                else ChannelEstimate(np.zeros(params.n_fft, np.complex128), noise_var)
-                for ch in joint_estimate.cosenders
-            ]
-            windows = (
-                layout.data_offset
-                + np.arange(n_symbols_tx)[:, None] * layout.data_symbol_samples
-                + data_params.cp_samples
-                - backoff
-                + np.arange(params.n_fft)[None, :]
+            llrs, decoded_symbols_by_job[i] = self._data_llrs(
+                frames[i], layout, frame_config, estimates[pos]
             )
-            freq_all = np.fft.fft(frame[windows], axis=-1) / np.sqrt(params.n_fft)
-            phase_track = np.empty((n_symbols_tx, n_intended), dtype=np.float64)
-            for t in range(n_symbols_tx):
-                if self.config.pilot_sharing:
-                    owner = pilot_owner(t, n_intended)
-                    if active_mask[owner]:
-                        tracker.update(freq_all[t], intended_channels, t)
-                else:
-                    tracker.update(freq_all[t], intended_channels, t)
-                phase_track[t] = tracker.phases
-            raw_symbols = freq_all[:, data_bins]
-            per_symbol_channels = []
-            for sender, channel in enumerate(intended_channels):
-                if not active_mask[sender]:
-                    continue
-                rotation = np.exp(1j * phase_track[:, sender])
-                per_symbol_channels.append(
-                    channel.on_bins(data_bins)[None, :] * rotation[:, None]
-                )
-            decoded_symbols, gain = self.combiner.decode(
-                raw_symbols,
-                per_symbol_channels,
-                codeword_indices=active_codewords,
-                constellation=get_modulation(frame_config.rate.modulation).points,
-                return_gain=True,
-            )
-            decoded_symbols_by_job[i] = decoded_symbols
-            gains_by_job[i] = gain
-
-            modulation = get_modulation(frame_config.rate.modulation)
-            n_cbps = frame_config.coded_bits_per_symbol
-            n_sym = frame_config.n_data_symbols
-            noise_eff = np.broadcast_to(
-                noise_var / np.maximum(gain[:n_sym], 1e-12), decoded_symbols[:n_sym].shape
-            )
-            soft = modulation.demodulate_soft(
-                decoded_symbols[:n_sym].reshape(-1), noise_eff.reshape(-1)
-            ).reshape(n_sym, n_cbps)
-            perm = interleaver_permutation(n_cbps, frame_config.rate.bits_per_symbol)
-            llrs = soft[:, perm].reshape(-1)
-            original_len = _CODE.coded_length(
-                frame_config.n_info_bits + frame_config.n_pad_bits
-            )
-            soft_full = depuncture(llrs, frame_config.rate.code_rate, original_len)
-            llr_blocks.setdefault(soft_full.size, []).append((i, soft_full, frame_config))
+            llr_blocks.setdefault(llrs.size, []).append((i, llrs))
 
         decoded_bits_by_job: dict[int, np.ndarray] = {}
-        for _, block in llr_blocks.items():
-            stacked = np.stack([soft_full for _, soft_full, _ in block])
-            decoded = _CODE.decode_batch(stacked, terminated=True)
-            for (i, _, frame_config), bits in zip(block, decoded):
-                decoded_bits_by_job[i] = bitutils.descramble(
-                    bits, frame_config.scrambler_seed
-                )
+        for block in llr_blocks.values():
+            decoded = _CODE.decode_batch(np.stack([llrs for _, llrs in block]), terminated=True)
+            for (i, _), bits in zip(block, decoded):
+                decoded_bits_by_job[i] = bits
 
         for pos, i in enumerate(idx):
-            _, _, layout, frame_config, _ = jobs[i]
-            joint_estimate = estimates[pos]
-            descrambled = decoded_bits_by_job[i]
-            info_bits = descrambled[: frame_config.n_info_bits]
-            frame_bytes = bitutils.bits_to_bytes(info_bits)
-            payload, crc_ok = bitutils.check_crc(frame_bytes)
-            per_sc_snr = joint_estimate.per_subcarrier_snr_db()
-            snr_db = float(
-                10.0 * np.log10(max(np.mean(10.0 ** (per_sc_snr / 10.0)), 1e-15))
-            )
-            results[i] = JointReceiveResult(
-                detected=True,
-                crc_ok=crc_ok,
-                payload=payload if crc_ok else frame_bytes[:-4],
-                start_index=int(starts[i]),
-                channels=joint_estimate,
-                misalignment=reports[pos],
-                snr_db=snr_db,
-                per_subcarrier_snr_db=per_sc_snr,
-                cfo_hz=float(cfo[i]),
-                equalized_symbols=decoded_symbols_by_job[i][: frame_config.n_data_symbols],
+            results[i] = self._frame_result(
+                decoded_bits_by_job[i],
+                jobs[i][3],
+                int(starts[i]),
+                float(cfo[i]),
+                estimates[pos],
+                reports[pos],
+                decoded_symbols_by_job[i],
             )
         return results  # type: ignore[return-value]

@@ -15,34 +15,38 @@ for one lead sender, a set of co-senders and one receiver:
 4. the receiver's misalignment report can be fed back to the co-senders to
    track delay changes (§4.5).
 
-The session exposes both full-frame runs (header + training + data,
-returning a :class:`~repro.core.receiver.JointReceiveResult`) and cheap
-"sync trials" that only evaluate the achieved synchronization error —
-the quantity of Fig. 12 — without building the data section.
+The session exposes full-frame runs (header + training + data, returning
+a :class:`~repro.core.receiver.JointReceiveResult`), header-only exchanges
+(the receiver-measured misalignment of Fig. 12 and the §4.5 tracking
+loop), and cheap "sync trials" that only evaluate the true schedule error
+without simulating a receiver at all.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.channel.awgn import db_to_linear
 from repro.channel.composite import Link, Transmission, combine_at_receiver, link_for_snr
 from repro.channel.multipath import DEFAULT_PROFILE, MultipathProfile
 from repro.channel.oscillator import Oscillator
 from repro.channel.propagation import propagation_delay_samples
-from repro.core.channel_est.cfo import measure_cfo
+from repro.core.channel_est.cfo import CfoEstimate, measure_cfo
 from repro.core.channel_est.joint_estimator import JointChannelEstimate
 from repro.core.config import SourceSyncConfig
 from repro.core.combining.stbc import SmartCombiner
 from repro.core.frame import JointFrameLayout, SyncHeader, make_joint_frame_config
 from repro.core.receiver import JointReceiveResult, JointReceiver
 from repro.core.sender import CoSender, LeadSender
-from repro.core.sync.tracking import MisalignmentReport
-from repro.core.sync.compensation import DelayBudget, compute_wait_time, sifs_samples
-from repro.core.sync.probe import measure_propagation_delay, probe_leg
-from repro.core.sync.tracking import WaitTimeTracker
+from repro.core.sync.compensation import DelayBudget, compute_wait_time
+from repro.core.sync.probe import (
+    ProbeLegResult,
+    PropagationDelayEstimate,
+    measure_propagation_delay,
+    probe_leg,
+)
+from repro.core.sync.tracking import MisalignmentReport, WaitTimeTracker
 from repro.hardware.frontend import RadioFrontend
 from repro.phy.params import OFDMParams, DEFAULT_PARAMS
 from repro.phy.transmitter import FrameConfig
@@ -56,6 +60,9 @@ __all__ = [
     "HeaderExchangeOutcome",
     "SourceSyncSession",
 ]
+
+#: Silent samples before the first arrival in every simulated receiver stream.
+_LEADING_SILENCE = 60
 
 
 @dataclass
@@ -263,7 +270,14 @@ class HeaderExchangeOutcome:
 
 
 class SourceSyncSession:
-    """Drives joint transmissions over a :class:`JointTopology`."""
+    """Drives joint transmissions over a :class:`JointTopology`.
+
+    The draw-free per-exchange steps — the frame layout, the §7.1 header,
+    the §4.3 schedule from a header reception, the co-sender
+    transmissions, loading the probe measurements and the §4.5 feedback —
+    are private methods here, shared by the sequential methods below and
+    the lockstep waves of :mod:`repro.core.ensemble`.
+    """
 
     def __init__(
         self,
@@ -280,12 +294,6 @@ class SourceSyncSession:
         self._states: list[_CoSenderState] = [_CoSenderState() for _ in topology.cosenders]
         self._delays_measured = False
 
-    def _padded_symbol_count(self, frame_config: FrameConfig) -> int:
-        """Data-symbol count rounded up to the space-time block size."""
-        block = self.combiner.block_symbols
-        n = frame_config.n_data_symbols
-        return int(np.ceil(n / block) * block)
-
     # ------------------------------------------------------------------
     # Measurement phase (§4.2c, §5)
     # ------------------------------------------------------------------
@@ -298,75 +306,135 @@ class SourceSyncSession:
         quantity under study.
         """
         topo = self.topology
-        cfg = self.config
-        for i, state in enumerate(self._states):
+        for i in range(topo.n_cosenders):
             if use_true_delays:
-                state.lead_to_cosender_samples = topo.links_lead_cosender[i].delay_samples
-                state.lead_to_receiver_samples = topo.link_lead_rx.delay_samples
-                state.cosender_to_receiver_samples = topo.links_cosender_rx[i].delay_samples
-                # The link's cfo_hz is f_lead - f_co (what the co-sender
-                # observes when listening to the lead); the pre-correction
-                # value is the co-sender's offset relative to the lead.
-                state.cfo_to_lead_hz = -topo.links_lead_cosender[i].cfo_hz
-            else:
-                lead_co = measure_propagation_delay(
-                    topo.links_lead_cosender[i],
-                    topo.links_cosender_lead[i],
-                    topo.lead.frontend,
-                    topo.cosenders[i].frontend,
+                self._load_measurements(i)
+                continue
+            delays = [
+                measure_propagation_delay(
+                    forward,
+                    reverse,
+                    initiator,
+                    responder,
                     self.rng,
                     topo.noise_power,
                     topo.params,
-                    n_probes=cfg.probe_count,
+                    n_probes=self.config.probe_count,
                 )
-                lead_rx = measure_propagation_delay(
-                    topo.link_lead_rx,
-                    topo.link_rx_lead,
-                    topo.lead.frontend,
-                    topo.receiver.frontend,
-                    self.rng,
-                    topo.noise_power,
-                    topo.params,
-                    n_probes=cfg.probe_count,
-                )
-                co_rx = measure_propagation_delay(
-                    topo.links_cosender_rx[i],
-                    topo.links_rx_cosender[i],
-                    topo.cosenders[i].frontend,
-                    topo.receiver.frontend,
-                    self.rng,
-                    topo.noise_power,
-                    topo.params,
-                    n_probes=cfg.probe_count,
-                )
-                cfo = measure_cfo(
-                    topo.links_lead_cosender[i], self.rng, topo.noise_power, topo.params
-                )
-                state.lead_to_cosender_samples = (
-                    lead_co.one_way_delay_samples if lead_co.valid
-                    else topo.links_lead_cosender[i].delay_samples
-                )
-                state.lead_to_receiver_samples = (
-                    lead_rx.one_way_delay_samples if lead_rx.valid
-                    else topo.link_lead_rx.delay_samples
-                )
-                state.cosender_to_receiver_samples = (
-                    co_rx.one_way_delay_samples if co_rx.valid
-                    else topo.links_cosender_rx[i].delay_samples
-                )
-                state.cfo_to_lead_hz = -cfo.cfo_hz if cfo.valid else 0.0
-            state.tracker = WaitTimeTracker(
-                wait_time_samples=state.lead_to_receiver_samples - state.cosender_to_receiver_samples,
-                gain=cfg.tracking_gain,
-            )
+                for forward, reverse, initiator, responder in self._probe_pairs(i)
+            ]
+            cfo = measure_cfo(topo.links_lead_cosender[i], self.rng, topo.noise_power, topo.params)
+            self._load_measurements(i, (*delays, cfo))
         self._delays_measured = True
 
+    def _probe_pairs(self, i: int) -> tuple[tuple[Link, Link, RadioFrontend, RadioFrontend], ...]:
+        """Co-sender ``i``'s three delay probes, in measurement order.
+
+        Each is ``(forward link, reverse link, initiator, responder)`` front
+        ends: lead→co-sender, lead→receiver, co-sender→receiver.
+        """
+        topo = self.topology
+        return (
+            (topo.links_lead_cosender[i], topo.links_cosender_lead[i],
+             topo.lead.frontend, topo.cosenders[i].frontend),
+            (topo.link_lead_rx, topo.link_rx_lead, topo.lead.frontend, topo.receiver.frontend),
+            (topo.links_cosender_rx[i], topo.links_rx_cosender[i],
+             topo.cosenders[i].frontend, topo.receiver.frontend),
+        )
+
+    def _load_measurements(
+        self,
+        i: int,
+        estimates: tuple[PropagationDelayEstimate, ...] | None = None,
+    ) -> None:
+        """Load co-sender ``i``'s measurements and re-seed its wait-time tracker.
+
+        ``estimates`` holds the three probe estimates of :meth:`_probe_pairs`
+        followed by the :class:`CfoEstimate`; an invalid delay falls back to
+        the true link delay and an invalid CFO to zero.  ``None`` loads the
+        true values.
+        """
+        topo = self.topology
+        state = self._states[i]
+        links = (topo.links_lead_cosender[i], topo.link_lead_rx, topo.links_cosender_rx[i])
+        if estimates is None:
+            delays = [link.delay_samples for link in links]
+            # The link's cfo_hz is f_lead - f_co (what the co-sender
+            # observes when listening to the lead); the pre-correction
+            # value is the co-sender's offset relative to the lead.
+            state.cfo_to_lead_hz = -links[0].cfo_hz
+        else:
+            *probes, cfo = estimates
+            delays = [
+                probe.one_way_delay_samples if probe.valid else link.delay_samples
+                for probe, link in zip(probes, links)
+            ]
+            state.cfo_to_lead_hz = -cfo.cfo_hz if cfo.valid else 0.0
+        (
+            state.lead_to_cosender_samples,
+            state.lead_to_receiver_samples,
+            state.cosender_to_receiver_samples,
+        ) = delays
+        state.tracker = WaitTimeTracker(
+            wait_time_samples=state.lead_to_receiver_samples - state.cosender_to_receiver_samples,
+            gain=self.config.tracking_gain,
+        )
+
     # ------------------------------------------------------------------
-    # Scheduling helpers
+    # Per-exchange steps (shared with the lockstep ensemble)
     # ------------------------------------------------------------------
     def _ensure_measured(self) -> None:
         if not self._delays_measured:
             self.measure_delays()
+
+    def _layout(
+        self,
+        frame_config: FrameConfig | None = None,
+        data_cp_samples: int | None = None,
+        n_cosenders: int | None = None,
+    ) -> JointFrameLayout:
+        """Layout of one exchange: header-only (one data symbol) without ``frame_config``.
+
+        A frame's data section holds its symbols rounded up to the
+        space-time block size; ``n_cosenders`` defaults to the topology's.
+        """
+        n_data_symbols = 1
+        if frame_config is not None:
+            block = self.combiner.block_symbols
+            n_data_symbols = int(np.ceil(frame_config.n_data_symbols / block) * block)
+        return JointFrameLayout(
+            params=self.topology.params,
+            n_cosenders=self.topology.n_cosenders if n_cosenders is None else n_cosenders,
+            n_data_symbols=n_data_symbols,
+            data_cp_samples=data_cp_samples,
+            sifs_us=self.config.sifs_us,
+        )
+
+    def _header(
+        self, layout: JointFrameLayout, rate_mbps: float = 6.0, packet_id: int | None = None
+    ) -> SyncHeader:
+        """The lead sender's header for ``layout`` (§7.1); draws the packet id if not given."""
+        if packet_id is None:
+            packet_id = int(self.rng.integers(0, 1 << 16))
+        return self.lead.make_header(
+            packet_id=packet_id,
+            rate_mbps=rate_mbps,
+            data_cp_samples=layout.effective_data_cp,
+            n_cosenders=layout.n_cosenders,
+        )
+
+    def _build_joint_frame(
+        self, payload: bytes, rate_mbps: float, data_cp_samples: int | None
+    ) -> tuple[FrameConfig, JointFrameLayout, np.ndarray, np.ndarray]:
+        """``(frame_config, layout, header_waveform, lead_waveform)`` of one joint frame."""
+        frame_config = make_joint_frame_config(
+            len(payload), rate_mbps, self.topology.params, data_cp_samples
+        )
+        layout = self._layout(frame_config, data_cp_samples)
+        header = self._header(layout, rate_mbps)
+        header_waveform = self.lead.header_waveform(header, layout)
+        lead_waveform = self.lead.build_waveform(payload, header, layout, frame_config)
+        return frame_config, layout, header_waveform, lead_waveform
 
     def _schedule_cosenders(
         self,
@@ -377,80 +445,148 @@ class SourceSyncSession:
         """Simulate header reception at each co-sender and compute actual start times.
 
         Returns (absolute transmit start per co-sender in samples, feasibility
-        flags).  With ``compensate=False`` the co-senders behave like the
-        unsynchronized baseline of §8.1.2: they join as soon as the SIFS and
-        their slot arrive according to their *local* perception of time,
-        without correcting for detection or propagation delays.
+        flags); see :meth:`_schedule_from_leg`.
         """
         topo = self.topology
-        cfg = self.config
-        sifs = float(layout.sifs_samples)
-        header_len = float(layout.sync_header_samples)
         starts: list[float] = []
         feasible: list[bool] = []
-        for i, state in enumerate(self._states):
-            link = topo.links_lead_cosender[i]
-            frontend = topo.cosenders[i].frontend
+        for i in range(topo.n_cosenders):
             leg = probe_leg(
-                link,
-                frontend,
+                topo.links_lead_cosender[i],
+                topo.cosenders[i].frontend,
                 self.rng,
                 topo.noise_power,
                 topo.params,
                 waveform=header_waveform,
             )
-            slot_offset = float(i * layout.ltf_samples)
-            if not leg.detected:
-                starts.append(float("nan"))
-                feasible.append(False)
-                continue
-            true_detect_delay = leg.true_detection_delay
-            est_detect_delay = leg.estimated_detection_delay if compensate else 0.0
-            wait_time = (
-                state.tracker.wait_time_samples
-                if (state.tracker is not None and compensate)
-                else 0.0
-            )
-            if compensate:
-                # The tracker's wait time equals T0_hat - t_i_hat plus any
-                # ACK-feedback corrections (§4.5), so it plays the role of
-                # w_i in the §4.3 schedule.
-                budget = DelayBudget(
-                    lead_to_cosender=state.lead_to_cosender_samples,
-                    detection_delay=est_detect_delay,
-                    turnaround=frontend.measure_turnaround_samples(),
-                    lead_to_receiver=state.cosender_to_receiver_samples + wait_time,
-                    cosender_to_receiver=state.cosender_to_receiver_samples,
-                )
-                schedule = compute_wait_time(budget, sifs, extra_slot_offset=slot_offset)
-                local_wait = schedule.local_wait_after_detection
-                schedule_feasible = schedule.feasible
-            else:
-                # Baseline: the co-sender starts its slot SIFS after it
-                # *finished receiving* the header, with no compensation at all.
-                target_offset = sifs + slot_offset
-                local_wait = 0.0
-                schedule_feasible = True
-
-            if compensate:
-                actual_start = (
-                    link.delay_samples
-                    + true_detect_delay
-                    + header_len
-                    + frontend.turnaround_samples
-                    + max(local_wait, 0.0)
-                )
-            else:
-                actual_start = (
-                    link.delay_samples
-                    + true_detect_delay
-                    + header_len
-                    + frontend.turnaround_samples
-                    + max(target_offset - frontend.turnaround_samples, 0.0)
-                )
-            starts.append(float(actual_start))
-            feasible.append(bool(schedule_feasible))
+            start, ok = self._schedule_from_leg(layout, i, leg, compensate)
+            starts.append(start)
+            feasible.append(ok)
         return starts, feasible
+
+    def _schedule_from_leg(
+        self,
+        layout: JointFrameLayout,
+        i: int,
+        leg: ProbeLegResult,
+        compensate: bool,
+    ) -> tuple[float, bool]:
+        """Co-sender ``i``'s transmit start from its header reception (§4.3).
+
+        Returns ``(absolute start in samples, feasible)``; a co-sender that
+        missed the header stays silent (``nan`` start).  With
+        ``compensate=False`` it behaves like the unsynchronized baseline of
+        §8.1.2: it joins as soon as the SIFS and its slot arrive according
+        to its *local* perception of time, without correcting for detection
+        or propagation delays.
+        """
+        if not leg.detected:
+            return float("nan"), False
+        state = self._states[i]
+        frontend = self.topology.cosenders[i].frontend
+        link = self.topology.links_lead_cosender[i]
+        sifs = float(layout.sifs_samples)
+        header_len = float(layout.sync_header_samples)
+        slot_offset = float(i * layout.ltf_samples)
+        if compensate:
+            # The tracker's wait time equals T0_hat - t_i_hat plus any
+            # ACK-feedback corrections (§4.5), so it plays the role of
+            # w_i in the §4.3 schedule.
+            budget = DelayBudget(
+                lead_to_cosender=state.lead_to_cosender_samples,
+                detection_delay=leg.estimated_detection_delay,
+                turnaround=frontend.measure_turnaround_samples(),
+                lead_to_receiver=state.cosender_to_receiver_samples
+                + state.tracker.wait_time_samples,
+                cosender_to_receiver=state.cosender_to_receiver_samples,
+            )
+            schedule = compute_wait_time(budget, sifs, extra_slot_offset=slot_offset)
+            wait = max(schedule.local_wait_after_detection, 0.0)
+            schedule_feasible = schedule.feasible
+        else:
+            # Baseline: the co-sender starts its slot SIFS after it
+            # *finished receiving* the header, with no compensation at all.
+            wait = max(sifs + slot_offset - frontend.turnaround_samples, 0.0)
+            schedule_feasible = True
+        actual_start = (
+            link.delay_samples
+            + leg.true_detection_delay
+            + header_len
+            + frontend.turnaround_samples
+            + wait
+        )
+        return float(actual_start), bool(schedule_feasible)
+
+    def _cosender_transmissions(
+        self,
+        layout: JointFrameLayout,
+        starts: list[float],
+        active: list[int] | None = None,
+        payload: bytes | None = None,
+        frame_config: FrameConfig | None = None,
+    ) -> list[Transmission]:
+        """Transmissions of the ``active`` (default: all) co-senders that heard the header.
+
+        Without ``payload`` each sends only its training slot (a header
+        exchange); with it, its training slot and the data section.
+        """
+        topo = self.topology
+        transmissions = []
+        for i in range(topo.n_cosenders) if active is None else active:
+            if not np.isfinite(starts[i]):
+                continue
+            cosender = CoSender(
+                cosender_index=i,
+                config=self.config,
+                node_id=topo.cosenders[i].node_id,
+                # CFO pre-correction is applied even in the unsynchronized
+                # baseline: the Fig. 13 comparison isolates *timing*
+                # compensation, not frequency handling.
+                cfo_precorrection_hz=self._states[i].cfo_to_lead_hz,
+            )
+            samples = (
+                cosender.training_waveform(layout)
+                if payload is None
+                else cosender.build_waveform(payload, layout, frame_config)
+            )
+            link = topo.links_cosender_rx[i]
+            transmissions.append(Transmission(link=link, samples=samples, start_sample=starts[i]))
+        return transmissions
+
+    def _receiver_start(self, genie_timing: bool, link: Link | None = None) -> int | None:
+        """The exact frame start under genie timing (lead link by default), else ``None``."""
+        if not genie_timing:
+            return None
+        link = self.topology.link_lead_rx if link is None else link
+        return _LEADING_SILENCE + int(round(link.delay_samples))
+
+    def _header_exchange_length(self, layout: JointFrameLayout) -> int:
+        """Receiver stream length of a header exchange (header, slots and margin)."""
+        delay = self.topology.link_lead_rx.delay_samples
+        return _LEADING_SILENCE + int(np.ceil(delay)) + layout.data_offset + 40
+
+    def _apply_feedback(
+        self,
+        starts: list[float],
+        channels: JointChannelEstimate | None,
+        report: MisalignmentReport | None,
+        active: list[int] | None = None,
+    ) -> None:
+        """Feed the receiver's misalignment report back to the co-senders (§4.5).
+
+        The report lists one misalignment per training slot the receiver
+        found (``channels.cosenders[k] is not None``), in slot order, so
+        each value goes to the co-sender of its slot.  Only co-senders that
+        transmitted — ``active`` (default: all) with a finite start — are
+        updated: a silent co-sender keeps its wait time even when noise or
+        a neighbour's energy made its slot look occupied.
+        """
+        if report is None:
+            return
+        found = [k for k, channel in enumerate(channels.cosenders) if channel is not None]
+        for k, reported in zip(found, report.misalignments_samples):
+            if np.isfinite(starts[k]) and (active is None or k in active):
+                self._states[k].tracker.update(reported)
 
     def _true_misalignments(
         self,
@@ -470,29 +606,58 @@ class SourceSyncSession:
             out.append(float(arrival - lead_data_arrival))
         return tuple(out)
 
+    def _sync_trial_result(
+        self, layout: JointFrameLayout, starts: list[float], feasible: list[bool]
+    ) -> SyncTrialResult:
+        snr_db = self.topology.link_lead_rx.snr_db(self.topology.noise_power)
+        return SyncTrialResult(self._true_misalignments(layout, starts), tuple(feasible), snr_db)
+
+    def _header_outcome(
+        self,
+        layout: JointFrameLayout,
+        starts: list[float],
+        feasible: list[bool],
+        channels: JointChannelEstimate | None,
+        misalignment: MisalignmentReport | None,
+        apply_tracking_feedback: bool,
+    ) -> HeaderExchangeOutcome:
+        """A header exchange's outcome, after the §4.5 feedback when asked for."""
+        if apply_tracking_feedback:
+            self._apply_feedback(starts, channels, misalignment)
+        return HeaderExchangeOutcome(
+            measured_misalignment=misalignment,
+            true_misalignment_samples=self._true_misalignments(layout, starts),
+            schedules_feasible=tuple(feasible),
+            snr_db=self.topology.link_lead_rx.snr_db(self.topology.noise_power),
+            channels=channels,
+        )
+
+    def _frame_outcome(
+        self,
+        result: JointReceiveResult,
+        layout: JointFrameLayout,
+        frame_config: FrameConfig,
+        starts: list[float],
+        feasible: list[bool],
+    ) -> JointFrameOutcome:
+        return JointFrameOutcome(
+            result=result,
+            true_misalignment_samples=self._true_misalignments(layout, starts),
+            schedules_feasible=tuple(feasible),
+            layout=layout,
+            frame_config=frame_config,
+        )
+
     # ------------------------------------------------------------------
-    # Sync-only trials (Fig. 12)
+    # Sync-only trials (schedules without a receiver)
     # ------------------------------------------------------------------
     def run_sync_trial(self, compensate: bool = True) -> SyncTrialResult:
         """Synchronize once and report the true residual misalignment."""
         self._ensure_measured()
-        layout = JointFrameLayout(
-            params=self.topology.params,
-            n_cosenders=self.topology.n_cosenders,
-            n_data_symbols=1,
-            sifs_us=self.config.sifs_us,
-        )
-        header = self.lead.make_header(
-            packet_id=int(self.rng.integers(0, 1 << 16)),
-            rate_mbps=6.0,
-            data_cp_samples=layout.effective_data_cp,
-            n_cosenders=layout.n_cosenders,
-        )
-        header_waveform = self.lead.header_waveform(header, layout)
+        layout = self._layout()
+        header_waveform = self.lead.header_waveform(self._header(layout), layout)
         starts, feasible = self._schedule_cosenders(layout, header_waveform, compensate)
-        misalignment = self._true_misalignments(layout, starts)
-        snr_db = self.topology.link_lead_rx.snr_db(self.topology.noise_power)
-        return SyncTrialResult(misalignment, tuple(feasible), snr_db)
+        return self._sync_trial_result(layout, starts, feasible)
 
     # ------------------------------------------------------------------
     # Header-only joint exchanges (Fig. 12 and the §4.5 tracking loop)
@@ -513,77 +678,25 @@ class SourceSyncSession:
         """
         self._ensure_measured()
         topo = self.topology
-        layout = JointFrameLayout(
-            params=topo.params,
-            n_cosenders=topo.n_cosenders,
-            n_data_symbols=1,
-            sifs_us=self.config.sifs_us,
-        )
-        header = self.lead.make_header(
-            packet_id=int(self.rng.integers(0, 1 << 16)),
-            rate_mbps=6.0,
-            data_cp_samples=layout.effective_data_cp,
-            n_cosenders=layout.n_cosenders,
-        )
-        header_waveform = self.lead.header_waveform(header, layout)
+        layout = self._layout()
+        header_waveform = self.lead.header_waveform(self._header(layout), layout)
         starts, feasible = self._schedule_cosenders(layout, header_waveform, compensate)
-
-        leading_silence = 60
         transmissions = [
-            Transmission(link=topo.link_lead_rx, samples=header_waveform, start_sample=0.0)
+            Transmission(link=topo.link_lead_rx, samples=header_waveform, start_sample=0.0),
+            *self._cosender_transmissions(layout, starts),
         ]
-        for i in range(topo.n_cosenders):
-            if not np.isfinite(starts[i]):
-                continue
-            cosender = CoSender(
-                cosender_index=i,
-                config=self.config,
-                node_id=topo.cosenders[i].node_id,
-                # CFO pre-correction is applied even in the unsynchronized
-                # baseline: the Fig. 13 comparison isolates *timing*
-                # compensation, not frequency handling.
-                cfo_precorrection_hz=self._states[i].cfo_to_lead_hz,
-            )
-            transmissions.append(
-                Transmission(
-                    link=topo.links_cosender_rx[i],
-                    samples=cosender.training_waveform(layout),
-                    start_sample=starts[i],
-                )
-            )
-        total_needed = leading_silence + int(np.ceil(topo.link_lead_rx.delay_samples)) + layout.data_offset + 40
         received = combine_at_receiver(
             transmissions,
             noise_power=topo.noise_power,
             rng=self.rng,
-            leading_silence=leading_silence,
-            total_length=total_needed,
+            leading_silence=_LEADING_SILENCE,
+            total_length=self._header_exchange_length(layout),
         )
-        start_index = (
-            leading_silence + int(round(topo.link_lead_rx.delay_samples)) if genie_timing else None
+        channels, misalignment, _ = self.receiver.measure_header(
+            received, layout, start_index=self._receiver_start(genie_timing)
         )
-        channels, misalignment, _ = self.receiver.measure_header(received, layout, start_index=start_index)
-
-        true_misalignment = self._true_misalignments(layout, starts)
-        if apply_tracking_feedback and misalignment is not None:
-            reported = iter(misalignment.misalignments_samples)
-            for i in range(topo.n_cosenders):
-                if not np.isfinite(starts[i]):
-                    continue
-                state = self._states[i]
-                if state.tracker is None:
-                    continue
-                try:
-                    state.tracker.update(next(reported))
-                except StopIteration:
-                    break
-        snr_db = topo.link_lead_rx.snr_db(topo.noise_power)
-        return HeaderExchangeOutcome(
-            measured_misalignment=misalignment,
-            true_misalignment_samples=true_misalignment,
-            schedules_feasible=tuple(feasible),
-            snr_db=snr_db,
-            channels=channels,
+        return self._header_outcome(
+            layout, starts, feasible, channels, misalignment, apply_tracking_feedback
         )
 
     def converge_tracking(self, rounds: int = 4, compensate: bool = True) -> None:
@@ -630,136 +743,27 @@ class SourceSyncSession:
         """
         self._ensure_measured()
         topo = self.topology
-        active = list(range(topo.n_cosenders)) if active_cosenders is None else sorted(active_cosenders)
-
-        frame_config = make_joint_frame_config(
-            len(payload), rate_mbps, topo.params, data_cp_samples
+        active = None if active_cosenders is None else sorted(active_cosenders)
+        frame_config, layout, header_waveform, lead_waveform = self._build_joint_frame(
+            payload, rate_mbps, data_cp_samples
         )
-        layout = JointFrameLayout(
-            params=topo.params,
-            n_cosenders=topo.n_cosenders,
-            n_data_symbols=self._padded_symbol_count(frame_config),
-            data_cp_samples=data_cp_samples,
-            sifs_us=self.config.sifs_us,
-        )
-        header = self.lead.make_header(
-            packet_id=int(self.rng.integers(0, 1 << 16)),
-            rate_mbps=rate_mbps,
-            data_cp_samples=layout.effective_data_cp,
-            n_cosenders=layout.n_cosenders,
-        )
-        header_waveform = self.lead.header_waveform(header, layout)
-        lead_waveform = self.lead.build_waveform(payload, header, layout, frame_config)
-
         starts, feasible = self._schedule_cosenders(layout, header_waveform, compensate)
-
-        leading_silence = 60
         transmissions = [
-            Transmission(link=topo.link_lead_rx, samples=lead_waveform, start_sample=0.0)
+            Transmission(link=topo.link_lead_rx, samples=lead_waveform, start_sample=0.0),
+            *self._cosender_transmissions(layout, starts, active, payload, frame_config),
         ]
-        for i in active:
-            if not np.isfinite(starts[i]):
-                continue
-            cosender = CoSender(
-                cosender_index=i,
-                config=self.config,
-                node_id=topo.cosenders[i].node_id,
-                # CFO pre-correction is applied even in the unsynchronized
-                # baseline: the Fig. 13 comparison isolates *timing*
-                # compensation, not frequency handling.
-                cfo_precorrection_hz=self._states[i].cfo_to_lead_hz,
-            )
-            waveform = cosender.build_waveform(payload, layout, frame_config)
-            transmissions.append(
-                Transmission(
-                    link=topo.links_cosender_rx[i],
-                    samples=waveform,
-                    start_sample=starts[i],
-                )
-            )
-
         received = combine_at_receiver(
             transmissions,
             noise_power=topo.noise_power,
             rng=self.rng,
-            leading_silence=leading_silence,
+            leading_silence=_LEADING_SILENCE,
         )
-        start_index = leading_silence + int(round(topo.link_lead_rx.delay_samples)) if genie_timing else None
         result = self.receiver.receive(
-            received, layout, frame_config, start_index=start_index
+            received, layout, frame_config, start_index=self._receiver_start(genie_timing)
         )
-
-        misalignment = self._true_misalignments(layout, starts)
-        if apply_tracking_feedback and result.misalignment is not None:
-            reported = result.misalignment.misalignments_samples
-            active_iter = iter(reported)
-            for i in active:
-                state = self._states[i]
-                if state.tracker is None:
-                    continue
-                try:
-                    state.tracker.update(next(active_iter))
-                except StopIteration:
-                    break
-        return JointFrameOutcome(
-            result=result,
-            true_misalignment_samples=misalignment,
-            schedules_feasible=tuple(feasible),
-            layout=layout,
-            frame_config=frame_config,
-        )
-
-    # ------------------------------------------------------------------
-    # Batched ensemble entry points (lockstep core path)
-    # ------------------------------------------------------------------
-    def run_sync_trials_batch(self, n_trials: int, compensate: bool = True) -> list[SyncTrialResult]:
-        """``n_trials`` synchronization trials with batched computation.
-
-        Reproduces ``[self.run_sync_trial(compensate) for _ in range(n_trials)]``
-        (same RNG draw order, same results) with the per-trial detection and
-        phase-slope stages executed as stacked array operations; see
-        :mod:`repro.core.ensemble`.
-        """
-        from repro.core.ensemble import run_sync_trials_batch
-
-        return run_sync_trials_batch([self], repeats=n_trials, compensate=compensate)[0]
-
-    def run_joint_ensemble(
-        self,
-        payloads: list[bytes],
-        rate_mbps: float = 6.0,
-        data_cp_samples: int | list[int | None] | None = None,
-        compensate: bool = True,
-        genie_timing: bool = False,
-    ) -> list[JointFrameOutcome]:
-        """Transmit an ensemble of independent joint frames, decoded batched.
-
-        The batched counterpart of a ``run_joint_frame(...,
-        apply_tracking_feedback=False)`` loop: frames are independent given
-        the current tracker state, so the whole ensemble shares one batched
-        receive pass (single block-parallel Viterbi call).  ``data_cp_samples``
-        may be a scalar applied to every frame or one value per frame (the
-        Fig. 13 cyclic-prefix sweep).
-        """
-        from repro.core.ensemble import JointFrameJob, run_joint_frames_batch
-
-        if isinstance(data_cp_samples, list):
-            if len(data_cp_samples) != len(payloads):
-                raise ValueError("need one data_cp_samples entry per payload")
-            cps = data_cp_samples
-        else:
-            cps = [data_cp_samples] * len(payloads)
-        jobs = [
-            JointFrameJob(
-                payload=payload,
-                rate_mbps=rate_mbps,
-                data_cp_samples=cp,
-                compensate=compensate,
-                genie_timing=genie_timing,
-            )
-            for payload, cp in zip(payloads, cps)
-        ]
-        return run_joint_frames_batch([self], [jobs])[0]
+        if apply_tracking_feedback:
+            self._apply_feedback(starts, result.channels, result.misalignment, active)
+        return self._frame_outcome(result, layout, frame_config, starts, feasible)
 
     # ------------------------------------------------------------------
     # Single-sender reference transmission (for gain comparisons)
@@ -779,37 +783,21 @@ class SourceSyncSession:
         self._ensure_measured()
         topo = self.topology
         frame_config = make_joint_frame_config(len(payload), rate_mbps, topo.params, None)
-        layout = JointFrameLayout(
-            params=topo.params,
-            n_cosenders=0,
-            n_data_symbols=self._padded_symbol_count(frame_config),
-            sifs_us=self.config.sifs_us,
-        )
-        header = self.lead.make_header(
-            packet_id=int(self.rng.integers(0, 1 << 16)),
-            rate_mbps=rate_mbps,
-            data_cp_samples=layout.effective_data_cp,
-            n_cosenders=0,
-        )
+        layout = self._layout(frame_config, n_cosenders=0)
+        header = self._header(layout, rate_mbps)
         if sender == "lead":
             link = topo.link_lead_rx
         else:
             index = int(sender) if not isinstance(sender, int) else sender
             link = topo.links_cosender_rx[index]
         waveform = self.lead.build_waveform(payload, header, layout, frame_config)
-        leading_silence = 60
         received = combine_at_receiver(
             [Transmission(link=link, samples=waveform, start_sample=0.0)],
             noise_power=topo.noise_power,
             rng=self.rng,
-            leading_silence=leading_silence,
+            leading_silence=_LEADING_SILENCE,
         )
-        start_index = leading_silence + int(round(link.delay_samples)) if genie_timing else None
-        result = self.receiver.receive(received, layout, frame_config, start_index=start_index)
-        return JointFrameOutcome(
-            result=result,
-            true_misalignment_samples=(),
-            schedules_feasible=(),
-            layout=layout,
-            frame_config=frame_config,
+        result = self.receiver.receive(
+            received, layout, frame_config, start_index=self._receiver_start(genie_timing, link)
         )
+        return self._frame_outcome(result, layout, frame_config, [], [])

@@ -22,7 +22,6 @@ from repro.core.sync.detection_delay import (
     phase_slope_windowed,
     slope_to_delay_samples,
 )
-from repro.engine import Lane, LockstepScheduler
 from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import experiment
 from repro.phy.equalizer import estimate_channel_ltf
@@ -36,8 +35,8 @@ __all__ = ["Config", "SPEC", "estimation_errors"]
 class Config:
     """Parameters of the §4.2 slope-estimator ablation.
 
-    The trials run as chained engine lanes on the single experiment
-    generator, and every estimate's FFT runs in one stacked transform.
+    The trials draw from the single experiment generator in order, and
+    every estimate's FFT runs in one stacked transform.
     """
 
     delays_samples: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0)
@@ -78,54 +77,6 @@ def _estimate_windows(
     return reps
 
 
-class _SlopeTrialLane(Lane):
-    """One trial's draws for the slope ablation.
-
-    All trials share the experiment's single generator, so the lanes are
-    chained in input order (``after=`` the previous trial) — the only form
-    of generator sharing the engine allows.  Each lane draws its channel
-    and every estimate's noise during (chained) setup, in exactly the
-    sequential loop's order, and returns the stacked time-domain windows;
-    the FFTs run once over the whole ensemble after the scheduler.
-    """
-
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        delays_samples: tuple[float, ...],
-        profile: MultipathProfile,
-        ltf_scaled: np.ndarray,
-        params: OFDMParams,
-        after: "_SlopeTrialLane | None" = None,
-    ) -> None:
-        self.rng = rng
-        self.after = after
-        self.delays_samples = delays_samples
-        self.profile = profile
-        self.ltf_scaled = ltf_scaled
-        self.params = params
-        self.windows: np.ndarray | None = None
-
-    def setup(self) -> None:
-        """Draw the trial's channel and every estimate's noisy windows."""
-        channel = MultipathChannel.random(self.profile, self.rng).normalized()
-        windows = [_estimate_windows(0, channel, self.ltf_scaled, self.rng, self.params)]
-        for delay in self.delays_samples:
-            windows.append(
-                _estimate_windows(int(delay), channel, self.ltf_scaled, self.rng, self.params)
-            )
-        self.windows = np.stack(windows)
-
-    @property
-    def finished(self) -> bool:
-        """Trials complete during (chained) setup."""
-        return self.windows is not None
-
-    def result(self) -> np.ndarray:
-        """The trial's stacked ``(1 + n_delays, 2, n_fft)`` window array."""
-        return self.windows
-
-
 def estimation_errors(
     delays_samples: tuple[float, ...],
     snr_db: float = 15.0,
@@ -143,24 +94,24 @@ def estimation_errors(
     difference between two delayed copies of the *same* channel — exactly
     the relative quantity SourceSync relies on.
 
-    The trials run through the shared engine as chained lanes on one
-    generator, and every estimate's FFT runs in one stacked transform.
+    The trials draw from one generator in order, and every estimate's FFT
+    runs in one stacked transform.
     """
     rng = np.random.default_rng(seed)
     profile = profile if profile is not None else MultipathProfile(n_taps=6, rms_delay_spread_samples=2.0)
     ltf_scaled = long_training_field(params) * np.sqrt(10.0 ** (snr_db / 10.0))
-    lanes: list[_SlopeTrialLane] = []
-    previous: _SlopeTrialLane | None = None
+    all_windows = []
     for _ in range(n_trials):
-        lane = _SlopeTrialLane(rng, delays_samples, profile, ltf_scaled, params, after=previous)
-        lanes.append(lane)
-        previous = lane
-    all_windows = LockstepScheduler().run(lanes)
+        channel = MultipathChannel.random(profile, rng).normalized()
+        all_windows.extend(
+            _estimate_windows(int(delay), channel, ltf_scaled, rng, params)
+            for delay in (0, *delays_samples)
+        )
     if not all_windows:
         return _errors_from_estimates([], delays_samples, params)
     # One stacked FFT over every window of every estimate of every trial;
     # rows are bit-identical to per-estimate 1-D transforms.
-    stacked = np.concatenate(all_windows, axis=0)
+    stacked = np.stack(all_windows)
     spectra = np.fft.fft(stacked, axis=-1) / np.sqrt(params.n_fft)
     estimates = [estimate_channel_ltf(spectra[k], params) for k in range(len(spectra))]
     return _errors_from_estimates(estimates, delays_samples, params)

@@ -150,3 +150,80 @@ class TestJointFrames:
         outcome = session.run_joint_frame(payload, 6.0, genie_timing=True)
         assert len(outcome.true_misalignment_samples) == 1
         assert outcome.result.misalignment is not None
+
+
+class TestTrackingFeedbackRouting:
+    """§4.5 feedback reaches the co-sender whose training slot was measured.
+
+    Co-sender 0 cannot hear the lead (−15 dB link), so it never transmits;
+    co-sender 1 does.  The receiver's report lists one value per training
+    slot it found, so a silent co-sender must keep its wait time and the
+    transmitting one must take its own slot's value — also when noise makes
+    the silent co-sender's slot look occupied.
+    """
+
+    @staticmethod
+    def _session(seed):
+        rng = np.random.default_rng(seed)
+        topo = JointTopology.from_snrs(
+            rng,
+            lead_rx_snr_db=20.0,
+            cosender_rx_snr_db=[20.0, 20.0],
+            lead_cosender_snr_db=[-15.0, 25.0],
+        )
+        session = SourceSyncSession(topo, SourceSyncConfig(), rng=rng)
+        session.measure_delays()
+        return session
+
+    @staticmethod
+    def _wait_times(session):
+        return [state.tracker.wait_time_samples for state in session._states]
+
+    @staticmethod
+    def _slot_value(channels, report, k):
+        found = [i for i, channel in enumerate(channels.cosenders) if channel is not None]
+        return report.misalignments_samples[found.index(k)]
+
+    def _assert_routed(self, session, before, channels, report):
+        gain = session.config.tracking_gain
+        after = self._wait_times(session)
+        assert after[0] == before[0]
+        expected = before[1] - gain * self._slot_value(channels, report, 1)
+        assert after[1] == pytest.approx(expected, rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_joint_frame_feedback_skips_silent_cosender(self, seed):
+        session = self._session(seed)
+        before = self._wait_times(session)
+        outcome = session.run_joint_frame(b"\x5a" * 30, genie_timing=True)
+        assert not np.isfinite(outcome.true_misalignment_samples[0])
+        assert np.isfinite(outcome.true_misalignment_samples[1])
+        self._assert_routed(
+            session, before, outcome.result.channels, outcome.result.misalignment
+        )
+
+    # Seeds whose first exchange finds energy in the silent co-sender's slot.
+    PHANTOM_SLOT_SEEDS = [23, 28]
+
+    @pytest.mark.parametrize("seed", PHANTOM_SLOT_SEEDS)
+    def test_header_exchange_feedback_uses_own_slot(self, seed):
+        session = self._session(seed)
+        before = self._wait_times(session)
+        outcome = session.run_header_exchange(apply_tracking_feedback=True)
+        assert not np.isfinite(outcome.true_misalignment_samples[0])
+        assert outcome.channels.cosenders[0] is not None  # phantom slot-0 energy
+        self._assert_routed(session, before, outcome.channels, outcome.measured_misalignment)
+
+    def test_converge_tracking_batch_feedback_uses_own_slot(self):
+        from repro.core.ensemble import converge_tracking_batch
+
+        sessions = [self._session(seed) for seed in self.PHANTOM_SLOT_SEEDS]
+        twins = [self._session(seed) for seed in self.PHANTOM_SLOT_SEEDS]
+        befores = [self._wait_times(session) for session in sessions]
+        converge_tracking_batch(sessions, rounds=1)
+        for session, twin, before in zip(sessions, twins, befores):
+            # The twin draws the same exchange without feedback, exposing
+            # the per-slot report the batched round fed back.
+            outcome = twin.run_header_exchange(apply_tracking_feedback=False)
+            assert outcome.channels.cosenders[0] is not None
+            self._assert_routed(session, before, outcome.channels, outcome.measured_misalignment)

@@ -106,6 +106,51 @@ class TestJointBatchExchanges:
                     )
         assert _rng_states_match(seq, bat)
 
+    def test_joint_batch_header_exchange_rollback_matches_sequential(self, monkeypatch):
+        """A session whose co-sender misses the header is rolled back and replayed.
+
+        The draw-ahead assumes every header probe is detected; the weak
+        lead→co-sender link of the last session breaks that assumption, so
+        its draws are rewound and its exchanges replayed through the scalar
+        path while the healthy sessions stay batched.
+        """
+        seeds, weak_seed = [311, 312], 313
+        seq = _make_sessions(seeds) + _make_sessions([weak_seed], lead_cosender_snr_db=-15.0)
+        bat = _make_sessions(seeds) + _make_sessions([weak_seed], lead_cosender_snr_db=-15.0)
+        for session in seq:
+            session.measure_delays()
+        ens.measure_delays_batch(bat)
+        sequential = [
+            [s.run_header_exchange(apply_tracking_feedback=False) for _ in range(3)]
+            for s in seq
+        ]
+        replays = []
+        scalar_exchange = SourceSyncSession.run_header_exchange
+
+        def counting_exchange(session, *args, **kwargs):
+            replays.append(session)
+            return scalar_exchange(session, *args, **kwargs)
+
+        monkeypatch.setattr(SourceSyncSession, "run_header_exchange", counting_exchange)
+        batched = ens.run_header_exchanges_batch(bat, repeats=3)
+        monkeypatch.undo()
+        assert replays and all(session is bat[-1] for session in replays)
+        for per_session_seq, per_session_bat in zip(sequential, batched):
+            for a, b in zip(per_session_seq, per_session_bat):
+                assert a.detected == b.detected
+                assert a.schedules_feasible == b.schedules_feasible
+                np.testing.assert_allclose(
+                    a.true_misalignment_samples, b.true_misalignment_samples, rtol=1e-9
+                )
+                if a.detected:
+                    np.testing.assert_allclose(
+                        a.measured_misalignment.misalignments_samples,
+                        b.measured_misalignment.misalignments_samples,
+                        rtol=1e-6,
+                        atol=1e-9,
+                    )
+        assert _rng_states_match(seq, bat)
+
     def test_joint_batch_feedback_requires_single_repeat(self, session_pairs):
         _, bat = session_pairs
         with pytest.raises(ValueError):
@@ -114,7 +159,7 @@ class TestJointBatchExchanges:
     def test_joint_batch_sync_trials_match_sequential(self, session_pairs):
         seq, bat = session_pairs
         sequential = [[s.run_sync_trial() for _ in range(2)] for s in seq]
-        batched = [s_b.run_sync_trials_batch(2) for s_b in bat]
+        batched = ens.run_sync_trials_batch(bat, repeats=2)
         for per_session_seq, per_session_bat in zip(sequential, batched):
             for a, b in zip(per_session_seq, per_session_bat):
                 assert a.feasible == b.feasible
@@ -147,10 +192,13 @@ class TestJointBatchFrames:
             ]
             for s in seq
         ]
-        batched = [
-            s.run_joint_ensemble([payload] * len(cps), data_cp_samples=list(cps), genie_timing=True)
-            for s in bat
-        ]
+        batched = ens.run_joint_frames_batch(
+            bat,
+            [
+                [ens.JointFrameJob(payload, data_cp_samples=cp, genie_timing=True) for cp in cps]
+                for _ in bat
+            ],
+        )
         for per_session_seq, per_session_bat in zip(sequential, batched):
             for a, b in zip(per_session_seq, per_session_bat):
                 assert a.result.detected == b.result.detected
@@ -186,7 +234,7 @@ class TestJointBatchFrames:
         ens.measure_delays_batch(bat)
         payload = bitutils.random_payload(30, np.random.default_rng(2))
         a = seq[0].run_joint_frame(payload, data_cp_samples=8, apply_tracking_feedback=False)
-        (b,) = bat[0].run_joint_ensemble([payload], data_cp_samples=8)
+        ((b,),) = ens.run_joint_frames_batch(bat, [[ens.JointFrameJob(payload, data_cp_samples=8)]])
         assert a.result.detected == b.result.detected
         assert a.result.start_index == b.result.start_index
         assert a.result.payload == b.result.payload

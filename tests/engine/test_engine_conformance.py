@@ -2,8 +2,8 @@
 
 Registers one :class:`tests.engine.conformance.LaneCase` per lane class —
 packet ensembles, joint frames, ExOR, single-path, link-local recovery,
-downlink last hop, traffic flows, and the two experiment-owned lanes
-(fig16 regime search, ablation_slope trials) — plus one case per
+downlink last hop, traffic flows, the experiment-owned fig16 regime
+search lane and the ablation_slope trial loop — plus one case per
 experiment whose Monte-Carlo core runs on a lockstep engine, comparing
 the experiment's production run against its sequential oracle
 (``tests/engine/experiment_oracles.py``).  The kit's parametrized checks
@@ -450,7 +450,7 @@ register(LaneCase(
 
 
 # ----------------------------------------------------------------------
-# ablation_slope trials (experiment-owned lane, chained on one rng)
+# ablation_slope trials (a plain loop on one rng, kept against its oracle)
 # ----------------------------------------------------------------------
 def _ablation_run(lockstep: bool, n_trials: int = 3):
     from repro.experiments.ablation_slope import estimation_errors
@@ -462,7 +462,7 @@ def _ablation_run(lockstep: bool, n_trials: int = 3):
 
 
 def _ablation_chained():
-    """Five chained trial lanes on one generator equal the sequential loop."""
+    """Five trials on one generator equal the per-trial sequential oracle."""
     assert_results_equal(_ablation_run(True, n_trials=5), _ablation_run(False, n_trials=5))
 
 
