@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.channel.awgn import awgn
 from repro.channel.composite import Link
+from repro.core.sync.probe import CFO_PROBE_COUNT
 from repro.phy.detection import detect_packet_autocorrelation, estimate_coarse_cfo
 from repro.phy.params import OFDMParams, DEFAULT_PARAMS
 from repro.phy.preamble import preamble
@@ -37,13 +38,20 @@ class CfoEstimate:
         """Estimation error in Hz."""
         return self.cfo_hz - self.true_cfo_hz
 
+    @classmethod
+    def from_probes(cls, estimates: list[float], true_cfo_hz: float) -> CfoEstimate:
+        """Average per-probe estimates; invalid (0 Hz) when no probe gave one."""
+        if not estimates:
+            return cls(False, 0.0, true_cfo_hz)
+        return cls(True, float(np.mean(estimates)), true_cfo_hz)
+
 
 def measure_cfo(
     link: Link,
     rng: np.random.Generator,
     noise_power: float = 1.0,
     params: OFDMParams = DEFAULT_PARAMS,
-    n_probes: int = 4,
+    n_probes: int = CFO_PROBE_COUNT,
 ) -> CfoEstimate:
     """Measure the CFO of a sender relative to a receiver from probe preambles.
 
@@ -71,9 +79,7 @@ def measure_cfo(
             estimates.append(estimate_coarse_cfo(received, detection.start_index, params))
         except ValueError:
             continue
-    if not estimates:
-        return CfoEstimate(False, 0.0, link.cfo_hz)
-    return CfoEstimate(True, float(np.mean(estimates)), link.cfo_hz)
+    return CfoEstimate.from_probes(estimates, link.cfo_hz)
 
 
 def precorrect_cfo(

@@ -19,7 +19,17 @@ import numpy as np
 from repro.phy.equalizer import ChannelEstimate, estimate_channel_ltf, estimate_noise_from_ltf
 from repro.phy.params import OFDMParams, DEFAULT_PARAMS
 
-__all__ = ["JointChannelEstimate", "estimate_sender_channel", "composite_channel", "sender_active"]
+__all__ = [
+    "JointChannelEstimate",
+    "estimate_sender_channel",
+    "composite_channel",
+    "sender_active",
+    "ACTIVITY_THRESHOLD",
+]
+
+#: Slot energy over the noise estimate (linear; 3 dB) above which an
+#: intended co-sender counts as having joined the frame (§6).
+ACTIVITY_THRESHOLD = 10.0 ** (3.0 / 10.0)
 
 
 def estimate_sender_channel(
@@ -59,7 +69,6 @@ def estimate_sender_channel(
 def sender_active(
     training_samples: np.ndarray,
     noise_power: float,
-    threshold_db: float = 3.0,
 ) -> bool:
     """Decide whether a co-sender actually joined the transmission.
 
@@ -71,7 +80,7 @@ def sender_active(
     if training_samples.size == 0:
         return False
     energy = float(np.mean(np.abs(training_samples) ** 2))
-    return energy > noise_power * (10.0 ** (threshold_db / 10.0))
+    return energy > noise_power * ACTIVITY_THRESHOLD
 
 
 @dataclass

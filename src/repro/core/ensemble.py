@@ -84,7 +84,14 @@ from repro.core.session import (
     SyncTrialResult,
 )
 from repro.core.sync.detection_delay import phase_slope_windowed_batch
-from repro.core.sync.probe import ProbeLegResult, PropagationDelayEstimate, _acquisition_backoff
+from repro.core.sync.probe import (
+    CFO_PROBE_COUNT,
+    ProbeLegResult,
+    PropagationDelayEstimate,
+    _acquisition_backoff,
+    combine_exchanges,
+    exchange_one_way_delay,
+)
 from repro.phy.detection import (
     detect_packet_autocorrelation_batch,
     estimate_coarse_cfo_rows,
@@ -348,46 +355,20 @@ def measure_delays_batch(
                 )
                 for s, (forward, reverse, _, _) in enumerate(specs):
                     last_legs[s] = (fwd[s], rev[s])
-                    if not (fwd[s].detected and rev[s].detected):
-                        continue
-                    round_trip_minus_known = (
-                        forward.delay_samples
-                        + fwd[s].true_detection_delay
-                        + reverse.delay_samples
-                        + rev[s].true_detection_delay
-                    )
-                    two_way = (
-                        round_trip_minus_known
-                        - fwd[s].estimated_detection_delay
-                        - rev[s].estimated_detection_delay
-                    )
-                    estimates_per_session[s].append(two_way / 2.0)
-            per_session: list[PropagationDelayEstimate] = []
-            for s, (forward, reverse, _, _) in enumerate(specs):
-                true_one_way = 0.5 * (forward.delay_samples + reverse.delay_samples)
-                if estimates_per_session[s]:
-                    per_session.append(
-                        PropagationDelayEstimate(
-                            True,
-                            float(np.mean(estimates_per_session[s])),
-                            float(true_one_way),
-                            last_legs[s][0],
-                            last_legs[s][1],
-                        )
-                    )
-                else:
-                    per_session.append(
-                        PropagationDelayEstimate(
-                            False, 0.0, true_one_way, last_legs[s][0], last_legs[s][1]
-                        )
-                    )
+                    one_way = exchange_one_way_delay(forward, reverse, fwd[s], rev[s])
+                    if one_way is not None:
+                        estimates_per_session[s].append(one_way)
+            per_session = [
+                combine_exchanges(forward, reverse, estimates_per_session[s], *last_legs[s])
+                for s, (forward, reverse, _, _) in enumerate(specs)
+            ]
             measurements.append(per_session)
 
-        # CFO probes: n_probes=4 waves (the measure_cfo default), averaged.
+        # CFO probes: CFO_PROBE_COUNT waves, as in measure_cfo, averaged.
         cfo_estimates: list[list[float]] = [[] for _ in sessions]
         from repro.phy.preamble import preamble
 
-        for _ in range(4):
+        for _ in range(CFO_PROBE_COUNT):
             jobs = [
                 _LegJob(
                     link=session.topology.links_lead_cosender[i],
@@ -407,11 +388,8 @@ def measure_delays_batch(
 
         lead_co, lead_rx, co_rx = measurements
         for s, session in enumerate(sessions):
-            true_cfo = session.topology.links_lead_cosender[i].cfo_hz
-            cfo = (
-                CfoEstimate(True, float(np.mean(cfo_estimates[s])), true_cfo)
-                if cfo_estimates[s]
-                else CfoEstimate(False, 0.0, true_cfo)
+            cfo = CfoEstimate.from_probes(
+                cfo_estimates[s], session.topology.links_lead_cosender[i].cfo_hz
             )
             session._load_measurements(i, (lead_co[s], lead_rx[s], co_rx[s], cfo))
     for session in sessions:

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.channel_est.joint_estimator import (
+    ACTIVITY_THRESHOLD,
     JointChannelEstimate,
     estimate_sender_channel,
     sender_active,
@@ -420,14 +421,13 @@ class JointReceiver:
         lead_responses = estimate_channel_ltf(ltf_syms, params).response
         noise_vars = np.asarray(estimate_noise_from_ltf(ltf_syms, params), dtype=np.float64)
 
-        threshold = 10.0 ** (3.0 / 10.0)
         slots: list[tuple[np.ndarray, np.ndarray]] = []
         slot_window_start = 2 * params.cp_samples - backoff
         for k in range(layout.n_cosenders):
             slot_start = layout.cosender_training_offset(k)
             slot = frames[:, slot_start : slot_start + layout.ltf_samples]
             energy = np.mean(np.abs(slot) ** 2, axis=1)
-            active = energy > noise_vars * threshold
+            active = energy > noise_vars * ACTIVITY_THRESHOLD
             slot_reps = slot[
                 :, slot_window_start : slot_window_start + 2 * params.n_fft
             ].reshape(n, 2, params.n_fft)
@@ -576,26 +576,30 @@ class JointReceiver:
         layout0 = jobs[0][2]
         params = layout0.params
         n = len(jobs)
-        max_len = max(job[0].size for job in jobs)
-        rows = np.zeros((n, max_len), dtype=np.complex128)
         lengths = np.zeros(n, dtype=np.int64)
-        for i, (samples, length, layout, _, _) in enumerate(jobs):
+        starts = np.zeros(n, dtype=np.int64)
+        for i, (_, length, layout, _, start_index) in enumerate(jobs):
             if (
                 layout.params is not params and layout.params != params
             ) or layout.n_cosenders != layout0.n_cosenders:
                 raise ValueError("receive_many requires a common header geometry")
-            rows[i, : samples.size] = samples
             lengths[i] = length
+            if start_index is not None:
+                starts[i] = int(start_index)
 
-        starts = np.zeros(n, dtype=np.int64)
         ok = np.ones(n, dtype=bool)
         need_acquire = [i for i, job in enumerate(jobs) if job[4] is None]
-        for i, job in enumerate(jobs):
-            if job[4] is not None:
-                starts[i] = int(job[4])
         if need_acquire:
+            # Only the frames without genie timing are zero-padded into a
+            # block, and only for as long as acquisition runs.
             sub = np.asarray(need_acquire)
-            fits, acquired = self._acquire_batch(rows[sub], lengths[sub], layout0)
+            rows = np.zeros(
+                (sub.size, max(jobs[i][0].size for i in need_acquire)), dtype=np.complex128
+            )
+            for row, i in enumerate(need_acquire):
+                rows[row, : jobs[i][0].size] = jobs[i][0]
+            fits, acquired = self._acquire_batch(rows, lengths[sub], layout0)
+            del rows
             ok[sub] = fits
             starts[sub] = np.maximum(acquired, 0)
 
@@ -613,34 +617,42 @@ class JointReceiver:
 
         cfo = np.zeros(n)
         if correct_cfo:
-            cfo = estimate_coarse_cfo_rows(rows, starts, lengths, fits_frame, params)
+            # The coarse CFO reads only the STF, so each frame's STF window
+            # is cut from its own samples, indexed from the frame start.
+            stfs = np.zeros((n, layout0.stf_samples), dtype=np.complex128)
+            for i in idx:
+                stf = jobs[i][0][starts[i] : starts[i] + layout0.stf_samples]
+                stfs[i, : stf.size] = stf
+            cfo = estimate_coarse_cfo_rows(
+                stfs, np.zeros(n, dtype=np.int64), lengths - starts, fits_frame, params
+            )
+        frame_cfo = list(cfo) if correct_cfo else [None] * n
 
-        # Frame-align each active job (lengths differ with the data CP) and
-        # CFO-correct with the per-frame index ramp, then run the common
-        # header stage batched.
-        frames: dict[int, np.ndarray] = {}
+        # The batched header stage sees only the aligned, CFO-corrected
+        # header block; each full frame is aligned again in the data loop.
         header_len = layout0.data_offset
         header_frames = np.empty((idx.size, header_len), dtype=np.complex128)
         for pos, i in enumerate(idx):
-            frame = rows[i, starts[i] : starts[i] + total[i]]
-            if correct_cfo:
-                span = np.arange(frame.size)
-                frame = frame * np.exp(-2j * np.pi * cfo[i] * span * params.sample_period_s)
-            frames[i] = frame
-            header_frames[pos] = frame[:header_len]
+            header_frames[pos] = _aligned_frame(
+                jobs[i][0], int(starts[i]), header_len, frame_cfo[i], params.sample_period_s
+            )
         lead_responses, noise_vars, slots = self._header_channels_batch(header_frames, layout0)
+        del header_frames
         estimates, reports = self._joint_estimates_batch(
             lead_responses, noise_vars, slots, layout0
         )
 
         # Per-job data sections up to the LLR block, then one Viterbi pass
-        # per coded length.
+        # per coded length.  One aligned frame is live at a time.
         llr_blocks: dict[int, list[tuple[int, np.ndarray]]] = {}
         decoded_symbols_by_job: dict[int, np.ndarray] = {}
         for pos, i in enumerate(idx):
-            _, _, layout, frame_config, _ = jobs[i]
+            samples, _, layout, frame_config, _ = jobs[i]
+            frame = _aligned_frame(
+                samples, int(starts[i]), int(total[i]), frame_cfo[i], params.sample_period_s
+            )
             llrs, decoded_symbols_by_job[i] = self._data_llrs(
-                frames[i], layout, frame_config, estimates[pos]
+                frame, layout, frame_config, estimates[pos]
             )
             llr_blocks.setdefault(llrs.size, []).append((i, llrs))
 
@@ -661,3 +673,16 @@ class JointReceiver:
                 decoded_symbols_by_job[i],
             )
         return results  # type: ignore[return-value]
+
+
+def _aligned_frame(
+    samples: np.ndarray, start: int, n_samples: int, cfo_hz: float | None, sample_period_s: float
+) -> np.ndarray:
+    """``n_samples`` of one received stream from ``start``, CFO-corrected.
+
+    The correction ramp is indexed from the frame start, so a frame prefix
+    gets exactly the leading elements of the whole frame's correction.
+    ``cfo_hz=None`` leaves the samples uncorrected.
+    """
+    frame = np.asarray(samples, dtype=np.complex128)[start : start + n_samples]
+    return frame if cfo_hz is None else apply_cfo_correction(frame, cfo_hz, sample_period_s)

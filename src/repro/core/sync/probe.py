@@ -32,7 +32,20 @@ from repro.phy.params import OFDMParams, DEFAULT_PARAMS
 from repro.phy.preamble import preamble, short_training_field
 from repro.phy.receiver import apply_cfo_correction
 
-__all__ = ["ProbeLegResult", "probe_leg", "measure_propagation_delay", "PropagationDelayEstimate"]
+__all__ = [
+    "CFO_PROBE_COUNT",
+    "ProbeLegResult",
+    "probe_leg",
+    "exchange_one_way_delay",
+    "combine_exchanges",
+    "measure_propagation_delay",
+    "PropagationDelayEstimate",
+]
+
+#: Probe preambles averaged into one CFO measurement (§5), taken alongside
+#: the delay probes of each co-sender.
+CFO_PROBE_COUNT = 4
+
 
 def _acquisition_backoff(params: OFDMParams) -> int:
     """FFT-window backoff used when estimating the channel of a just-detected packet.
@@ -201,26 +214,53 @@ def measure_propagation_delay(
     estimates = []
     last_fwd: ProbeLegResult | None = None
     last_rev: ProbeLegResult | None = None
-    true_one_way = 0.5 * (forward_link.delay_samples + reverse_link.delay_samples)
     for _ in range(n_probes):
-        fwd = probe_leg(forward_link, frontend_b, rng, noise_power, params)
-        rev = probe_leg(reverse_link, frontend_a, rng, noise_power, params)
-        last_fwd, last_rev = fwd, rev
-        if not (fwd.detected and rev.detected):
-            continue
-        # Round trip as timed by A's clock:
-        #   d_ab + delta_B + h_B + wait_B + d_ba + delta_A
-        # B reports delta_B_hat, h_B and wait_B; A knows delta_A_hat.  The
-        # turnaround and deliberate wait are known exactly (counted in local
-        # clock ticks), so they cancel and are omitted here.
-        round_trip_minus_known = (
-            forward_link.delay_samples
-            + fwd.true_detection_delay
-            + reverse_link.delay_samples
-            + rev.true_detection_delay
-        )
-        two_way = round_trip_minus_known - fwd.estimated_detection_delay - rev.estimated_detection_delay
-        estimates.append(two_way / 2.0)
+        last_fwd = probe_leg(forward_link, frontend_b, rng, noise_power, params)
+        last_rev = probe_leg(reverse_link, frontend_a, rng, noise_power, params)
+        one_way = exchange_one_way_delay(forward_link, reverse_link, last_fwd, last_rev)
+        if one_way is not None:
+            estimates.append(one_way)
+    return combine_exchanges(forward_link, reverse_link, estimates, last_fwd, last_rev)
+
+
+def exchange_one_way_delay(
+    forward_link: Link, reverse_link: Link, fwd: ProbeLegResult, rev: ProbeLegResult
+) -> float | None:
+    """One-way delay estimate of one probe/response exchange (Eq. 2).
+
+    ``None`` when either leg went undetected, so the exchange yields no
+    estimate.
+    """
+    if not (fwd.detected and rev.detected):
+        return None
+    # Round trip as timed by A's clock:
+    #   d_ab + delta_B + h_B + wait_B + d_ba + delta_A
+    # B reports delta_B_hat, h_B and wait_B; A knows delta_A_hat.  The
+    # turnaround and deliberate wait are known exactly (counted in local
+    # clock ticks), so they cancel and are omitted here.
+    round_trip_minus_known = (
+        forward_link.delay_samples
+        + fwd.true_detection_delay
+        + reverse_link.delay_samples
+        + rev.true_detection_delay
+    )
+    two_way = round_trip_minus_known - fwd.estimated_detection_delay - rev.estimated_detection_delay
+    return two_way / 2.0
+
+
+def combine_exchanges(
+    forward_link: Link,
+    reverse_link: Link,
+    estimates: list[float],
+    last_fwd: ProbeLegResult | None,
+    last_rev: ProbeLegResult | None,
+) -> PropagationDelayEstimate:
+    """Average the exchanges' one-way estimates into one measurement.
+
+    The measurement is invalid (delay 0) when no exchange completed; the
+    last exchange's legs are kept either way.
+    """
+    true_one_way = 0.5 * (forward_link.delay_samples + reverse_link.delay_samples)
     if not estimates:
         return PropagationDelayEstimate(False, 0.0, true_one_way, last_fwd, last_rev)
     return PropagationDelayEstimate(

@@ -14,9 +14,9 @@ Both halves of the codec are batch-friendly:
   over a ``(n_packets, n_llrs)`` batch: the add-compare-select recursion
   keeps a ``(n_packets, n_states)`` metric array, so the single remaining
   Python loop over trellis steps is amortised across every packet of the
-  ensemble, and the traceback is vectorised over packets as well.
-  :meth:`ConvolutionalCode.decode` is a thin single-packet wrapper, which
-  guarantees the batched and per-packet paths are bit-identical.
+  ensemble, and the traceback is vectorised over packets as well.  The
+  survivor decisions are stored packed, one bit per (step, packet, state).
+  :meth:`ConvolutionalCode.decode` is a thin single-packet wrapper over it.
 
 Experiments should obtain codes through :func:`get_code` so identical
 trellis tables are built once per process instead of once per packet.
@@ -30,11 +30,11 @@ import numpy as np
 
 __all__ = ["ConvolutionalCode", "get_code"]
 
-#: Cap on decisions-array elements (steps x packets x states) held live per
-#: decode_batch call; larger ensembles are split into packet chunks, which
-#: changes nothing numerically (every packet's recursion is independent) but
-#: bounds memory the same way the receiver chunks its soft demapper.
-_DECODE_CHUNK_ELEMS = 1 << 26
+#: Cap on the bytes of packed survivor decisions (steps x packets x
+#: ceil(states / 8)) held live per decode_batch call; larger ensembles are
+#: split into packet chunks, which changes nothing numerically (every
+#: packet's recursion is independent) but bounds memory.
+_DECODE_CHUNK_BYTES = 8 << 20
 
 
 class ConvolutionalCode:
@@ -220,8 +220,8 @@ class ConvolutionalCode:
         path-metric array: the only Python loop is over trellis steps, and
         each iteration advances *all* packets at once.  Every operation is
         elementwise or a per-row reduction, so each batch row follows
-        exactly the float path a batch of one would — the basis for the
-        bit-identity guarantee tested against the single-packet decoder.
+        exactly the float path a batch of one would, whatever the batch
+        size or packet chunking.
         """
         llrs = np.asarray(llrs, dtype=np.float64)
         if llrs.ndim != 2:
@@ -237,7 +237,8 @@ class ConvolutionalCode:
             if terminated and strip_tail:
                 n_info = max(n_steps - self.tail_bits, 0)
             return np.zeros((n_packets, n_info), dtype=np.uint8)
-        chunk = max(_DECODE_CHUNK_ELEMS // max(n_steps * self.n_states, 1), 1)
+        state_bytes = -(-self.n_states // 8)
+        chunk = max(_DECODE_CHUNK_BYTES // (n_steps * state_bytes), 1)
         if n_packets > chunk:
             return np.concatenate(
                 [
@@ -256,7 +257,10 @@ class ConvolutionalCode:
         neg_inf = -1e18
         metrics = np.full((n_packets, n_states), neg_inf, dtype=np.float64)
         metrics[:, 0] = 0.0
-        decisions = np.empty((n_steps, n_packets, n_states), dtype=np.uint8)
+        # decisions[step, b, s >> 3] holds, in bit 7 - (s & 7), which of the
+        # two predecessors survives into state s (np.packbits' big-endian
+        # bit order).
+        decisions = np.empty((n_steps, n_packets, state_bytes), dtype=np.uint8)
 
         for step in range(n_steps):
             step_llr = steps[:, step, :]  # (n_packets, n_out)
@@ -267,9 +271,12 @@ class ConvolutionalCode:
             for o in range(1, self.n_outputs):
                 branch = branch + step_llr[:, o, None, None] * prev_sign[None, :, :, o]
             candidate = metrics[:, prev_states] + branch  # (n_packets, 2, n_states)
-            best_choice = np.argmax(candidate, axis=1).astype(np.uint8)
-            metrics = np.take_along_axis(candidate, best_choice[:, None, :], axis=1)[:, 0, :]
-            decisions[step] = best_choice
+            # Compare-select: predecessor 1 survives only when strictly
+            # better, so ties keep predecessor 0, and the new metric is one
+            # of the two candidate floats unchanged.
+            choice = candidate[:, 1] > candidate[:, 0]
+            metrics = np.where(choice, candidate[:, 1], candidate[:, 0])
+            decisions[step] = np.packbits(choice, axis=-1)
 
         # Vectorised traceback: one state per packet, walked backwards with
         # fancy indexing instead of a per-packet Python loop.
@@ -281,7 +288,8 @@ class ConvolutionalCode:
         bits = np.empty((n_packets, n_steps), dtype=np.uint8)
         for step in range(n_steps - 1, -1, -1):
             bits[:, step] = self._entry_bit[state]
-            choice = decisions[step, rows, state]
+            packed = decisions[step, rows, state >> 3]
+            choice = (packed >> (7 - (state & 7))) & 1
             state = prev_states[choice, state]
 
         if terminated and strip_tail:

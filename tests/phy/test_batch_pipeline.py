@@ -62,6 +62,10 @@ class TestScramblerVectorized:
 
 
 class TestBatchViterbi:
+    """``decode`` is ``decode_batch`` on a batch of one, so these pin the
+    wrapper and the batch shapes; ``test_viterbi_oracle.py`` checks the
+    kernel against an independent decoder."""
+
     def test_batch_matches_single(self, code):
         rng = np.random.default_rng(1)
         info = rng.integers(0, 2, (6, 250)).astype(np.uint8)
